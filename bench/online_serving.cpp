@@ -43,7 +43,7 @@
 #include "data/dataset.hpp"
 #include "online/engine.hpp"
 #include "runtime/compiled_model.hpp"
-#include "serve/server.hpp"
+#include "serve/router.hpp"
 
 using namespace neuro;
 
@@ -78,15 +78,16 @@ std::vector<double> parse_list(const std::string& csv) {
 
 /// Closed-loop inference clients that run until `stop` flips, then report
 /// how many requests completed Ok.
-std::uint64_t drive_traffic(serve::Server& server, const data::Dataset& images,
-                            std::size_t clients, std::atomic<bool>& stop) {
+std::uint64_t drive_traffic(serve::ModelRouter& router,
+                            const data::Dataset& images, std::size_t clients,
+                            std::atomic<bool>& stop) {
     std::atomic<std::uint64_t> ok{0};
     std::vector<std::thread> pool;
     for (std::size_t c = 0; c < clients; ++c)
         pool.emplace_back([&, c] {
             std::size_t i = c;
             while (!stop.load(std::memory_order_relaxed)) {
-                if (server.submit(images.samples[i % images.size()].image)
+                if (router.submit(images.samples[i % images.size()].image)
                         .get()
                         .status == serve::Status::Ok)
                     ok.fetch_add(1, std::memory_order_relaxed);
@@ -135,11 +136,11 @@ int main(int argc, char** argv) {
     spec.input(1, 16, 16).hidden_layers({100}).output_classes(10);
     spec.options.seed = 29;
 
-    serve::ServerOptions sopt;
-    sopt.workers = workers;
-    sopt.queue_capacity = 128;
-    sopt.batch.max_batch = batch;
-    sopt.admission.feedback_capacity = 256;
+    serve::RouterOptions ropt;
+    ropt.workers = workers;
+    ropt.queue_capacity = 128;
+    ropt.batch.max_batch = batch;
+    ropt.admission.feedback_capacity = 256;
 
     std::vector<Row> rows;
 
@@ -148,19 +149,19 @@ int main(int argc, char** argv) {
         const auto model = runtime::CompiledModel::compile(spec);
         auto probe = model->open_session();
         const double baseline = core::evaluate(*probe, holdout);
-        serve::Server server(model, sopt);
-        server.start();
+        serve::ModelRouter router(model, ropt);
+        router.start();
         std::atomic<bool> stop{false};
         std::thread stopper([&] {
-            // Fixed request budget: the control row measures a quiet server.
-            while (server.stats().completed < requests)
+            // Fixed request budget: the control row measures a quiet router.
+            while (router.stats().completed < requests)
                 std::this_thread::sleep_for(std::chrono::milliseconds(2));
             stop.store(true);
         });
-        const auto ok = drive_traffic(server, stream, clients, stop);
+        const auto ok = drive_traffic(router, stream, clients, stop);
         stopper.join();
-        server.shutdown();
-        const auto st = server.stats();
+        router.shutdown();
+        const auto st = router.stats();
         Row row;
         row.config = "serve-only";
         row.mode = "off";
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
         for (const double interval_d : intervals) {
             const auto interval = static_cast<std::size_t>(interval_d);
             const auto model = runtime::CompiledModel::compile(spec);
-            serve::Server server(model, sopt);
+            serve::ModelRouter router(model, ropt);
 
             const auto registry_dir =
                 std::filesystem::temp_directory_path() /
@@ -199,9 +200,9 @@ int main(int argc, char** argv) {
             oopt.feedback_batch =
                 static_cast<std::size_t>(cli.get_int("feedback_batch", 1));
             oopt.registry_dir = registry_dir.string();
-            online::OnlineEngine engine(model, server.feedback_queue(),
+            online::OnlineEngine engine(model, router.feedback_queue(),
                                         holdout, oopt);
-            server.start();
+            router.start();
             engine.start();
 
             // Paced, ordered feedback stream: blocking push keeps the
@@ -216,7 +217,7 @@ int main(int argc, char** argv) {
                                      static_cast<double>(i) / rate)));
                     serve::FeedbackSample f{stream.samples[i].image,
                                             stream.samples[i].label, {}};
-                    server.feedback_queue()->push(f);
+                    router.feedback_queue()->push(f);
                 }
             });
 
@@ -226,13 +227,13 @@ int main(int argc, char** argv) {
                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
                 stop.store(true);
             });
-            const auto ok = drive_traffic(server, stream, clients, stop);
+            const auto ok = drive_traffic(router, stream, clients, stop);
             producer.join();
             stopper.join();
             engine.stop();
-            server.shutdown();
+            router.shutdown();
 
-            const auto st = server.stats();
+            const auto st = router.stats();
             const auto es = engine.stats();
             Row row;
             row.config = "learn, rate=" +

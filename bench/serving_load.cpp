@@ -60,7 +60,6 @@
 #include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
 #include "serve/router.hpp"
-#include "serve/server.hpp"
 
 using namespace neuro;
 
@@ -82,10 +81,10 @@ struct LoadRow {
     serve::ServerStats stats;
 };
 
-serve::ServerOptions make_options(std::size_t workers, std::size_t batch,
+serve::RouterOptions make_options(std::size_t workers, std::size_t batch,
                                   std::size_t queue, std::uint64_t delay_us,
                                   serve::Backpressure bp) {
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = workers;
     opt.queue_capacity = queue;
     opt.batch.max_batch = batch;
@@ -101,18 +100,18 @@ LoadRow run_closed(const std::shared_ptr<const runtime::CompiledModel>& model,
                    std::size_t batch, std::size_t requests,
                    std::size_t clients, std::size_t queue,
                    std::uint64_t delay_us) {
-    serve::Server server(model,
-                         make_options(workers, batch, queue, delay_us,
-                                      serve::Backpressure::Block));
-    server.start();
+    serve::ModelRouter router(model,
+                              make_options(workers, batch, queue, delay_us,
+                                           serve::Backpressure::Block));
+    router.start();
     common::ThreadPool pool(clients);
     const auto t0 = std::chrono::steady_clock::now();
     pool.run(clients, [&](std::size_t c) {
         for (std::size_t i = c; i < requests; i += clients)
-            (void)server.submit(images.samples[i % images.size()].image).get();
+            (void)router.submit(images.samples[i % images.size()].image).get();
     });
     const double wall = seconds_since(t0);
-    server.shutdown();
+    router.shutdown();
 
     LoadRow row;
     row.config = "closed, workers=" + std::to_string(workers) +
@@ -122,7 +121,7 @@ LoadRow run_closed(const std::shared_ptr<const runtime::CompiledModel>& model,
     row.batch = batch;
     row.requests = requests;
     row.throughput_rps = static_cast<double>(requests) / wall;
-    row.stats = server.stats();
+    row.stats = router.stats();
     return row;
 }
 
@@ -141,8 +140,8 @@ LoadRow run_open(const std::shared_ptr<const runtime::CompiledModel>& model,
     auto options =
         make_options(workers, batch, queue, delay_us, serve::Backpressure::Shed);
     options.admission = admission;
-    serve::Server server(model, options);
-    server.start();
+    serve::ModelRouter router(model, options);
+    router.start();
     common::Rng rng(seed);
     serve::SubmitOptions sub;
     sub.deadline_us = deadline_us;
@@ -157,9 +156,9 @@ LoadRow run_open(const std::shared_ptr<const runtime::CompiledModel>& model,
             t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                      std::chrono::duration<double>(arrival_s)));
         handles.push_back(
-            server.submit(images.samples[i % images.size()].image, sub));
+            router.submit(images.samples[i % images.size()].image, sub));
     }
-    server.shutdown();  // drain everything accepted
+    router.shutdown();  // drain everything accepted
     const double wall = seconds_since(t0);
     std::size_t ok = 0;
     for (auto& h : handles)
@@ -175,7 +174,7 @@ LoadRow run_open(const std::shared_ptr<const runtime::CompiledModel>& model,
     row.requests = requests;
     row.offered_rps = offered_rps;
     row.throughput_rps = static_cast<double>(ok) / wall;
-    row.stats = server.stats();
+    row.stats = router.stats();
     return row;
 }
 
@@ -192,10 +191,10 @@ LoadRow run_trace(const std::shared_ptr<const runtime::CompiledModel>& model,
                   std::size_t queue, std::uint64_t delay_us, bool trace,
                   double* span_cover = nullptr) {
     obs::set_timing(trace);
-    serve::Server server(model,
-                         make_options(workers, batch, queue, delay_us,
-                                      serve::Backpressure::Block));
-    server.start();
+    serve::ModelRouter router(model,
+                              make_options(workers, batch, queue, delay_us,
+                                           serve::Backpressure::Block));
+    router.start();
     std::atomic<std::uint64_t> span_sum_us{0};
     std::atomic<std::uint64_t> wall_sum_us{0};
     common::ThreadPool pool(clients);
@@ -207,7 +206,7 @@ LoadRow run_trace(const std::shared_ptr<const runtime::CompiledModel>& model,
         std::uint64_t walls = 0;
         for (std::size_t i = c; i < requests; i += clients) {
             const auto res =
-                server.submit(images.samples[i % images.size()].image, sub)
+                router.submit(images.samples[i % images.size()].image, sub)
                     .get();
             if (res.trace.enabled) {
                 spans += res.trace.queue_us() + res.trace.batch_us() +
@@ -219,7 +218,7 @@ LoadRow run_trace(const std::shared_ptr<const runtime::CompiledModel>& model,
         wall_sum_us.fetch_add(walls);
     });
     const double wall = seconds_since(t0);
-    server.shutdown();
+    router.shutdown();
     obs::set_timing(false);
     if (span_cover)
         *span_cover = wall_sum_us.load() > 0
@@ -234,7 +233,7 @@ LoadRow run_trace(const std::shared_ptr<const runtime::CompiledModel>& model,
     row.batch = batch;
     row.requests = requests;
     row.throughput_rps = static_cast<double>(requests) / wall;
-    row.stats = server.stats();
+    row.stats = router.stats();
     return row;
 }
 
@@ -320,27 +319,28 @@ WireCounts drive_socket_open(const std::string& path,
     return out;
 }
 
-/// In-process neurod: Server (Shed — the daemon's requirement) + Daemon on
-/// a unique Unix socket, loop on a dedicated thread. One harness per row so
-/// the ServerStats percentiles are per-row, like the in-process rows.
+/// In-process neurod: ModelRouter (Shed — the daemon's requirement) +
+/// Daemon on a unique Unix socket, loop on a dedicated thread. One harness
+/// per row so the ServerStats percentiles are per-row, like the in-process
+/// rows.
 struct SocketHarness {
-    std::shared_ptr<serve::Server> server;
+    std::shared_ptr<serve::ModelRouter> router;
     std::unique_ptr<netd::Daemon> daemon;
     std::thread thread;
     netd::DaemonOptions dopt;
 
     SocketHarness(const std::shared_ptr<const runtime::CompiledModel>& model,
-                  serve::ServerOptions sopt) {
+                  serve::RouterOptions ropt) {
         static std::atomic<int> counter{0};
         const auto base =
             std::filesystem::temp_directory_path() /
             ("neuro_loadbench_" + std::to_string(::getpid()) + "_" +
              std::to_string(counter.fetch_add(1)));
         dopt.data_path = base.string() + ".sock";
-        sopt.backpressure = serve::Backpressure::Shed;
-        server = std::make_shared<serve::Server>(model, sopt);
-        server->start();
-        daemon = std::make_unique<netd::Daemon>(server, model, dopt);
+        ropt.backpressure = serve::Backpressure::Shed;
+        router = std::make_shared<serve::ModelRouter>(model, ropt);
+        router->start();
+        daemon = std::make_unique<netd::Daemon>(router, dopt);
         thread = std::thread([this] { daemon->run(); });
         // The daemon binds on its own thread; wait until it answers.
         const auto t0 = std::chrono::steady_clock::now();
@@ -360,7 +360,7 @@ struct SocketHarness {
     ~SocketHarness() {
         if (daemon && !daemon->finished()) daemon->request_shutdown();
         if (thread.joinable()) thread.join();
-        if (server) server->shutdown();
+        if (router) router->shutdown();
         std::error_code ec;
         std::filesystem::remove(dopt.data_path, ec);
     }
@@ -382,7 +382,7 @@ LoadRow run_socket_closed(
     row.batch = batch;
     row.requests = requests;
     row.throughput_rps = static_cast<double>(c.ok) / c.wall;
-    row.stats = h.server->stats();
+    row.stats = h.router->stats();
     return row;
 }
 
@@ -403,7 +403,7 @@ LoadRow run_socket_open(
     row.requests = requests;
     row.offered_rps = offered_rps;
     row.throughput_rps = static_cast<double>(c.ok) / c.wall;
-    row.stats = h.server->stats();
+    row.stats = h.router->stats();
     return row;
 }
 

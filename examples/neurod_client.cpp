@@ -1,6 +1,6 @@
 // Example: talking to neurod over its binary wire protocol.
 //
-// Where examples/serving_async.cpp calls serve::Server in-process, this
+// Where examples/serving_async.cpp calls serve::ModelRouter in-process, this
 // example crosses a real Unix socket: it boots a neurod event loop on a
 // background thread (so the example is self-contained — against a
 // production daemon only the connect line changes) and then acts as a
@@ -33,7 +33,7 @@
 #include "netd/client.hpp"
 #include "netd/daemon.hpp"
 #include "runtime/compiled_model.hpp"
-#include "serve/server.hpp"
+#include "serve/router.hpp"
 
 using namespace neuro;
 
@@ -72,17 +72,17 @@ int main() {
     const auto model =
         runtime::CompiledModel::compile(spec, runtime::BackendKind::LoihiSim);
 
-    serve::ServerOptions sopt;
-    sopt.workers = 2;
-    sopt.backpressure = serve::Backpressure::Shed;  // the daemon's requirement
-    auto server = std::make_shared<serve::Server>(model, sopt);
+    serve::RouterOptions ropt;
+    ropt.workers = 2;
+    ropt.backpressure = serve::Backpressure::Shed;  // the daemon's requirement
+    auto router = std::make_shared<serve::ModelRouter>(model, ropt);
 
     netd::DaemonOptions dopt;
     const auto base = std::filesystem::temp_directory_path() /
                       ("neurod_example_" + std::to_string(::getpid()));
     dopt.data_path = base.string() + ".sock";
     dopt.control_path = base.string() + ".ctl";
-    netd::Daemon daemon(server, model, dopt);
+    netd::Daemon daemon(router, dopt);
     std::thread loop([&] { daemon.run(); });
     // The loop binds on its own thread; wait until it accepts.
     for (;;) {
@@ -107,7 +107,7 @@ int main() {
     doomed.deadline_us = 10'000;
     client.send(doomed);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    server->start();  // workers wake to find the SLO already passed
+    router->start();  // workers wake to find the SLO already passed
 
     netd::ResponseFrame resp;
     if (!client.recv_response(resp)) return 1;
@@ -141,7 +141,7 @@ int main() {
     // ---- 4. graceful shutdown ----------------------------------------------
     daemon.request_shutdown();  // what the SIGTERM handler calls in neurod
     loop.join();
-    server->shutdown();
+    router->shutdown();
     std::filesystem::remove(dopt.data_path);
     std::filesystem::remove(dopt.control_path);
     std::printf("\ndrained — every accepted frame was answered before "

@@ -1,7 +1,7 @@
 // Learning while serving, end to end (docs/ARCHITECTURE.md §9):
 //
-//   1. compile a model and put a serve::Server pool on it,
-//   2. attach an online::OnlineEngine to the server's feedback queue,
+//   1. compile a model and put a serve::ModelRouter pool on it,
+//   2. attach an online::OnlineEngine to the router's feedback queue,
 //   3. stream labeled feedback while inference traffic keeps flowing,
 //   4. watch versions pass the shadow-eval gate, get published, be adopted
 //      by the pool at batch boundaries, and land in the on-disk registry.
@@ -19,7 +19,7 @@
 #include "data/dataset.hpp"
 #include "online/engine.hpp"
 #include "runtime/compiled_model.hpp"
-#include "serve/server.hpp"
+#include "serve/router.hpp"
 
 using namespace neuro;
 
@@ -37,10 +37,10 @@ int main() {
     spec.input(1, 16, 16).hidden_layers({100}).output_classes(10);
     const auto model = runtime::CompiledModel::compile(spec);
 
-    serve::ServerOptions sopt;
-    sopt.workers = 2;
-    sopt.admission.feedback_capacity = 256;  // enables the labeled-feedback intake
-    serve::Server server(model, sopt);
+    serve::RouterOptions ropt;
+    ropt.workers = 2;
+    ropt.admission.feedback_capacity = 256;  // enables the labeled-feedback intake
+    serve::ModelRouter router(model, ropt);
 
     // ---- the online engine -------------------------------------------------
     const auto registry_dir =
@@ -51,9 +51,9 @@ int main() {
     oopt.max_regression = 0.05;   // candidates may not regress > 5 points
     oopt.feedback_batch = 1;
     oopt.registry_dir = registry_dir.string();
-    online::OnlineEngine engine(model, server.feedback_queue(), holdout, oopt);
+    online::OnlineEngine engine(model, router.feedback_queue(), holdout, oopt);
 
-    server.start();
+    router.start();
     engine.start();
     std::printf("baseline accuracy (shadow eval): %.3f\n",
                 engine.stats().baseline_accuracy);
@@ -62,28 +62,28 @@ int main() {
     std::atomic<bool> stop{false};
     std::thread traffic([&] {
         for (std::size_t i = 0; !stop.load(); ++i)
-            (void)server.submit(stream.samples[i % stream.size()].image).get();
+            (void)router.submit(stream.samples[i % stream.size()].image).get();
     });
     std::size_t accepted = 0;
     for (const auto& s : stream.samples) {
         // Feedback is best-effort: when the learner falls behind, the queue
         // sheds and submit_feedback says so — count what actually got in.
-        if (server.submit_feedback(s.image, s.label)) ++accepted;
+        if (router.submit_feedback(s.image, s.label)) ++accepted;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
 
     // Wait for the learner to drain what was accepted, then stop (order-
-    // independent with server.shutdown(): both close the shared queue).
+    // independent with router.shutdown(): both close the shared queue).
     while (engine.stats().feedback_seen < accepted)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     stop.store(true);
     traffic.join();
     engine.stop();
-    server.shutdown();
+    router.shutdown();
 
     // ---- what happened -----------------------------------------------------
     const auto es = engine.stats();
-    const auto ss = server.stats();
+    const auto ss = router.stats();
     std::printf("feedback consumed: %llu (trained %llu incl. replay)\n",
                 static_cast<unsigned long long>(es.feedback_seen),
                 static_cast<unsigned long long>(es.trained));

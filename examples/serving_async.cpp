@@ -4,12 +4,12 @@
 // and a slice of the data (good for batch jobs), this example runs the
 // request/response shape of a live service:
 //   1. Train a model and freeze it into a servable CompiledModel.
-//   2. Stand up a serve::Server — worker sessions, a bounded request
+//   2. Stand up a serve::ModelRouter — worker sessions, a bounded request
 //      queue, and a micro-batching scheduler (dispatch when the batch
 //      fills or max_delay_us elapses, whichever first).
 //   3. Fire-and-forget submit() from the client side; each call returns a
 //      future-backed InferenceHandle immediately.
-//   4. Collect results, then read the server's latency histogram
+//   4. Collect results, then read the router's latency histogram
 //      (p50/p95/p99), batch shapes, and throughput from ServerStats.
 //   5. Overload a tiny-queue Shed-policy server to see backpressure
 //      reject the overflow instead of queueing without bound.
@@ -29,7 +29,7 @@
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "runtime/compiled_model.hpp"
-#include "serve/server.hpp"
+#include "serve/router.hpp"
 
 using namespace neuro;
 
@@ -57,14 +57,14 @@ int main(int argc, char** argv) {
     const auto servable = model->with_weights(trainer->weights());
 
     // ---- 2. the serving engine ---------------------------------------------
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = workers;
     opt.queue_capacity = 256;
     opt.batch.max_batch = batch;
     opt.batch.max_delay_us = 200;
     opt.backpressure = serve::Backpressure::Block;
-    serve::Server server(servable, opt);
-    server.start();
+    serve::ModelRouter router(servable, opt);
+    router.start();
     std::printf("server up: %zu workers, queue %zu, micro-batch <=%zu or "
                 "%llu us\n",
                 opt.workers, opt.queue_capacity, opt.batch.max_batch,
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     std::vector<serve::InferenceHandle> handles;
     handles.reserve(requests);
     for (std::size_t i = 0; i < requests; ++i)
-        handles.push_back(server.submit(test.samples[i % test.size()].image));
+        handles.push_back(router.submit(test.samples[i % test.size()].image));
 
     std::size_t hits = 0;
     for (std::size_t i = 0; i < requests; ++i) {
@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
             r.label == test.samples[i % test.size()].label)
             ++hits;
     }
-    server.shutdown();
-    const auto s = server.stats();
+    router.shutdown();
+    const auto s = router.stats();
     std::printf("served %llu requests: %.1f%% accuracy\n",
                 static_cast<unsigned long long>(s.completed),
                 100.0 * static_cast<double>(hits) /
@@ -98,11 +98,11 @@ int main(int argc, char** argv) {
                 s.max_batch, s.peak_queue_depth);
 
     // ---- 5. backpressure: shed instead of queueing without bound -----------
-    serve::ServerOptions shed_opt = opt;
+    serve::RouterOptions shed_opt = opt;
     shed_opt.workers = 1;
     shed_opt.queue_capacity = 8;
     shed_opt.backpressure = serve::Backpressure::Shed;
-    serve::Server shedding(servable, shed_opt);
+    serve::ModelRouter shedding(servable, shed_opt);
     // No start() yet: with the queue full, every extra submit is refused
     // immediately with status Rejected rather than blocking the client.
     std::vector<serve::InferenceHandle> burst;
@@ -118,11 +118,11 @@ int main(int argc, char** argv) {
 
     // ---- 6. admission control: priority classes + SLO deadlines ------------
     auto clock = std::make_shared<serve::ManualClock>();
-    serve::ServerOptions adm_opt = opt;
+    serve::RouterOptions adm_opt = opt;
     adm_opt.workers = 1;
     adm_opt.clock = clock;  // virtual time: the expiry below is deterministic
     adm_opt.admission.codel.enabled = true;
-    serve::Server admitting(servable, adm_opt);
+    serve::ModelRouter admitting(servable, adm_opt);
     serve::SubmitOptions slo;
     slo.priority = serve::Priority::Batch;
     slo.deadline_us = 500;  // relative SLO, stamped absolute at submit()

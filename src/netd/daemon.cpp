@@ -129,42 +129,22 @@ Daemon::Daemon(std::shared_ptr<serve::ModelRouter> router,
       options_(std::move(options)),
       registry_(std::move(registry)) {
     if (!router_) throw std::invalid_argument("netd: null router");
-    model_ = router_->default_model();
-    validate_config();
-    if (options_.metrics)
-        options_.metrics->add_collector(
-            [this](std::string& out) { collect_metrics(out); });
-}
-
-Daemon::Daemon(std::shared_ptr<serve::Server> server,
-               std::shared_ptr<const runtime::CompiledModel> model,
-               DaemonOptions options,
-               std::shared_ptr<online::ModelRegistry> registry)
-    : router_(server ? server->router() : nullptr),
-      model_(std::move(model)),
-      options_(std::move(options)),
-      registry_(std::move(registry)) {
-    if (!router_) throw std::invalid_argument("netd: null server");
-    if (!model_) throw std::invalid_argument("netd: null model");
-    validate_config();
-    if (options_.metrics)
-        options_.metrics->add_collector(
-            [this](std::string& out) { collect_metrics(out); });
-}
-
-void Daemon::validate_config() const {
     if (router_->options().backpressure != serve::Backpressure::Shed)
         throw std::invalid_argument(
             "netd: the daemon requires Backpressure::Shed — Block would "
             "park the event loop on a full queue");
     if (options_.data_path.empty() && options_.tcp_port == 0)
         throw std::invalid_argument("netd: no data listener configured");
+    model_ = router_->default_model();
+    if (options_.metrics)
+        options_.metrics->add_collector(
+            [this](std::string& out) { collect_metrics(out); });
 }
 
 Daemon::~Daemon() {
     // Worker completion callbacks hold ConnPtrs plus `this` (dirty list,
     // eventfd). The serving engine guarantees every accepted request
-    // resolves, so this wait is bounded by the server's own drain.
+    // resolves, so this wait is bounded by the router's own drain.
     while (inflight_.load() != 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     for (const auto& [fd, conn] : conns_) {

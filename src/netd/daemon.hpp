@@ -20,13 +20,13 @@
 // Threading: the loop thread owns all connection read state (decoder,
 // epoll registration, the in-flight write buffer); worker callbacks touch
 // only each connection's mutex-guarded pending-response list and the
-// eventfd. The server's own admission/batching machinery is unchanged —
+// eventfd. The router's own admission/batching machinery is unchanged —
 // the wire carries priority class + relative deadline end-to-end into the
 // AdmissionQueue, so a deadline miss resolves as a protocol-level
 // Rejected frame exactly like it resolves a future in-process.
 //
 // Backpressure is layered:
-//   * Server intake: the daemon requires the Shed policy (Block would
+//   * Router intake: the daemon requires the Shed policy (Block would
 //     park the event loop); a full queue resolves QueueFull inline.
 //   * Connection: a client that stops reading, or floods requests, has
 //     its EPOLLIN interest dropped once its pending bytes or in-flight
@@ -67,7 +67,6 @@
 #include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
 #include "serve/router.hpp"
-#include "serve/server.hpp"
 
 namespace neuro::netd {
 
@@ -125,24 +124,19 @@ struct DaemonStats {
 
 class Daemon {
 public:
-    /// Router-native form: `router` is the serving fleet the wire drives.
-    /// It must use Backpressure::Shed (throws otherwise — Block would park
-    /// the event loop on a full queue). `registry` is the DEFAULT model's
-    /// registry for the legacy load/pin/rollback commands; optional —
-    /// without it those commands answer `err no registry` (fleet entries
-    /// carry their own registries via RouterOptions::fleet_dir). The
-    /// daemon does not start() or shutdown() the router: the owner
-    /// controls the serving lifecycle (tests exploit this to pin deadline
-    /// behaviour on a ManualClock before workers run).
+    /// `router` is the serving fleet the wire drives; its default model is
+    /// the target of the default-model control commands. Throws
+    /// std::invalid_argument on a null router, a router that does not use
+    /// Backpressure::Shed (Block would park the event loop on a full
+    /// queue), or options with no data listener. `registry` is the DEFAULT
+    /// model's registry for the legacy load/pin/rollback commands;
+    /// optional — without it those commands answer `err no registry`
+    /// (fleet entries carry their own registries via
+    /// RouterOptions::fleet_dir). The daemon does not start() or
+    /// shutdown() the router: the owner controls the serving lifecycle
+    /// (tests exploit this to pin deadline behaviour on a ManualClock
+    /// before workers run).
     Daemon(std::shared_ptr<serve::ModelRouter> router, DaemonOptions options,
-           std::shared_ptr<online::ModelRegistry> registry = nullptr);
-
-    /// Legacy single-model form: drives `server`'s underlying router (a
-    /// fleet of one). `model` is the served CompiledModel (weight
-    /// publication target for the legacy control commands).
-    Daemon(std::shared_ptr<serve::Server> server,
-           std::shared_ptr<const runtime::CompiledModel> model,
-           DaemonOptions options,
            std::shared_ptr<online::ModelRegistry> registry = nullptr);
     ~Daemon();
 
@@ -233,10 +227,9 @@ private:
     void check_drain_progress();
     std::size_t unflushed_bytes(const ConnPtr& conn);
 
-    /// Shared construction tail: option/backpressure validation.
-    void validate_config() const;
-
     std::shared_ptr<serve::ModelRouter> router_;
+    /// The router's default entry: weight-publication target of the
+    /// default-model control commands.
     std::shared_ptr<const runtime::CompiledModel> model_;
     DaemonOptions options_;
     std::shared_ptr<online::ModelRegistry> registry_;

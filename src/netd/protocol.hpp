@@ -88,9 +88,9 @@ inline constexpr std::size_t kMaxRank = 4;
 /// Ceiling on the v2 model-name field (matches the router's name rules).
 inline constexpr std::size_t kMaxModelName = 64;
 
-/// What a request frame asks for. Predict/Counts mirror Server::submit /
+/// What a request frame asks for. Predict/Counts mirror ModelRouter::submit /
 /// submit_counts; Feedback carries a labeled sample for the online learner
-/// (Server::submit_feedback) and is answered with Ok (accepted) or
+/// (ModelRouter::submit_feedback) and is answered with Ok (accepted) or
 /// Rejected{QueueFull} (feedback is best-effort by contract).
 enum class MsgKind : std::uint8_t { Predict = 0, Counts = 1, Feedback = 2 };
 

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <stdexcept>
 
 namespace neuro::obs {
 
@@ -41,132 +40,14 @@ void append_sample(std::string& out, const std::string& name,
     out += '\n';
 }
 
-std::size_t Counter::shard_slot() {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t slot =
-        next.fetch_add(1, std::memory_order_relaxed) % kShards;
-    return slot;
-}
-
-std::size_t Histogram::bucket_of(std::uint64_t us) {
-    for (std::size_t i = 0; i < kBuckets; ++i)
-        if (us <= upper_edge_us(i)) return i;
-    return kBuckets;  // +Inf
-}
-
-Registry::Family& Registry::family_locked(const std::string& name, Kind kind,
-                                          const std::string& help) {
-    auto [it, inserted] = families_.try_emplace(name);
-    Family& fam = it->second;
-    if (inserted) {
-        fam.kind = kind;
-        fam.help = help;
-    } else if (fam.kind != kind) {
-        throw std::invalid_argument("obs::Registry: metric '" + name +
-                                    "' re-registered with a different kind");
-    }
-    return fam;
-}
-
-Registry::Series& Registry::series_locked(Family& fam, const std::string& name,
-                                          const std::string& labels) {
-    for (Series& s : fam.series)
-        if (s.labels == labels) return s;
-    (void)name;
-    fam.series.push_back(Series{labels, nullptr, nullptr, nullptr});
-    return fam.series.back();
-}
-
-Counter& Registry::counter(const std::string& name, const std::string& help,
-                           const std::string& labels) {
-    std::lock_guard<std::mutex> lock(m_);
-    Series& s =
-        series_locked(family_locked(name, Kind::Counter, help), name, labels);
-    if (!s.counter) s.counter = std::make_unique<Counter>();
-    return *s.counter;
-}
-
-Gauge& Registry::gauge(const std::string& name, const std::string& help,
-                       const std::string& labels) {
-    std::lock_guard<std::mutex> lock(m_);
-    Series& s =
-        series_locked(family_locked(name, Kind::Gauge, help), name, labels);
-    if (!s.gauge) s.gauge = std::make_unique<Gauge>();
-    return *s.gauge;
-}
-
-Histogram& Registry::histogram(const std::string& name,
-                               const std::string& help,
-                               const std::string& labels) {
-    std::lock_guard<std::mutex> lock(m_);
-    Series& s = series_locked(family_locked(name, Kind::Histogram, help), name,
-                              labels);
-    if (!s.histogram) s.histogram = std::make_unique<Histogram>();
-    return *s.histogram;
-}
-
 void Registry::add_collector(Collector c) {
     std::lock_guard<std::mutex> lock(m_);
     collectors_.push_back(std::move(c));
 }
 
-namespace {
-
-/// Histogram label plumbing: bucket lines need `le` merged into the
-/// series labels ("{a=\"b\"}" + le -> "{a=\"b\",le=\"4\"}").
-std::string with_le(const std::string& labels, const std::string& le) {
-    if (labels.empty()) return "{le=\"" + le + "\"}";
-    std::string out = labels.substr(0, labels.size() - 1);
-    out += ",le=\"" + le + "\"}";
-    return out;
-}
-
-}  // namespace
-
 std::string Registry::expose() const {
     std::lock_guard<std::mutex> lock(m_);
     std::string out;
-    for (const auto& [name, fam] : families_) {
-        switch (fam.kind) {
-            case Kind::Counter: {
-                const std::string total = name + "_total";
-                append_help_type(out, total, "counter", fam.help);
-                for (const Series& s : fam.series)
-                    append_sample(out, total, s.labels, s.counter->value());
-                break;
-            }
-            case Kind::Gauge: {
-                append_help_type(out, name, "gauge", fam.help);
-                for (const Series& s : fam.series)
-                    append_sample(
-                        out, name, s.labels,
-                        static_cast<double>(s.gauge->value()));
-                break;
-            }
-            case Kind::Histogram: {
-                append_help_type(out, name, "histogram", fam.help);
-                for (const Series& s : fam.series) {
-                    const Histogram& h = *s.histogram;
-                    std::uint64_t cumulative = 0;
-                    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-                        cumulative += h.bucket(i);
-                        char le[32];
-                        std::snprintf(le, sizeof le, "%" PRIu64,
-                                      Histogram::upper_edge_us(i));
-                        append_sample(out, name + "_bucket",
-                                      with_le(s.labels, le), cumulative);
-                    }
-                    cumulative += h.bucket(Histogram::kBuckets);
-                    append_sample(out, name + "_bucket",
-                                  with_le(s.labels, "+Inf"), cumulative);
-                    append_sample(out, name + "_sum", s.labels,
-                                  static_cast<double>(h.sum_us()));
-                    append_sample(out, name + "_count", s.labels, h.count());
-                }
-                break;
-            }
-        }
-    }
     for (const Collector& c : collectors_) c(out);
     out += "# EOF\n";
     return out;

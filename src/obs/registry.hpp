@@ -1,39 +1,20 @@
 #pragma once
-// neuro::obs::Registry — named counters / gauges / histograms with
-// Prometheus text exposition (docs/ARCHITECTURE.md §14).
+// neuro::obs::Registry — Prometheus text exposition of the serving stats
+// (docs/ARCHITECTURE.md §14).
 //
-// Hot-path instruments are designed for writers-never-contend:
-//   * Counter  — kShards cacheline-padded relaxed atomics; each thread
-//     increments its own shard (thread id hashed to a slot at first use),
-//     the scrape sums shards. No CAS loops, no false sharing.
-//   * Gauge    — a single atomic (gauges are set by control-plane code,
-//     not per-request hot paths).
-//   * Histogram — fixed power-of-two microsecond buckets of relaxed
-//     atomics plus atomic count/sum; record() is two relaxed increments
-//     and an add, allocation-free.
+// The stats structs (ServerStats / ModelEntryStats / DaemonStats) are the
+// one metrics source; the registry owns no instruments of its own. A
+// collector is a scrape-time callback that appends already-formatted
+// exposition text (use append_help_type()/append_sample()) — the netd
+// daemon registers one that snapshots those structs into metric families
+// on every scrape ("aggregated on scrape").
 //
-// Registration (counter()/gauge()/histogram()) takes a mutex and may
-// allocate — do it once at setup and keep the reference; the returned
-// instruments live as long as the Registry. Instrument references are
-// stable (node-based map), so holding one across scrapes is safe.
-//
-// Scrape-time collectors bridge the existing pull-style stats: a
-// collector is a callback that appends already-formatted exposition text
-// (use append_help_type()/append_sample()) — the netd daemon registers
-// one that snapshots ServerStats / ModelEntryStats / DaemonStats into
-// metric families on every scrape, which is how the legacy plumbing is
-// absorbed without duplicating its bookkeeping ("aggregated on scrape").
-//
-// expose() emits Prometheus/OpenMetrics-style text and terminates with a
+// expose() concatenates the collectors' output and terminates it with a
 // literal "# EOF" line — the control-socket framing for the multi-line
 // `metrics` reply (netd/daemon.cpp).
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -48,124 +29,20 @@ void append_sample(std::string& out, const std::string& name,
 void append_sample(std::string& out, const std::string& name,
                    const std::string& labels, std::uint64_t value);
 
-class Counter {
-public:
-    static constexpr std::size_t kShards = 16;
-
-    void inc(std::uint64_t n = 1) {
-        shards_[shard_slot()].v.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    std::uint64_t value() const {
-        std::uint64_t total = 0;
-        for (const auto& s : shards_)
-            total += s.v.load(std::memory_order_relaxed);
-        return total;
-    }
-
-private:
-    /// Stable per-thread shard index; threads are striped across shards
-    /// in creation order so a small worker pool never shares a line.
-    static std::size_t shard_slot();
-
-    struct alignas(64) Shard {
-        std::atomic<std::uint64_t> v{0};
-    };
-    Shard shards_[kShards];
-};
-
-class Gauge {
-public:
-    void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-    void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-    std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
-private:
-    std::atomic<std::int64_t> v_{0};
-};
-
-/// Power-of-two microsecond buckets: le = 1us, 2us, 4us, ... 2^25us
-/// (~33.5s), plus +Inf. ~2x relative resolution — coarser than the
-/// serving LatencyHistogram (which keeps 6% resolution for percentile
-/// readouts) but cheap to merge and exactly what a scrape-side quantile
-/// wants as cumulative `le` buckets.
-class Histogram {
-public:
-    static constexpr std::size_t kBuckets = 26;  ///< finite le buckets
-
-    void record_us(std::uint64_t us) {
-        buckets_[bucket_of(us)].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        sum_us_.fetch_add(us, std::memory_order_relaxed);
-    }
-
-    std::uint64_t count() const {
-        return count_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t sum_us() const {
-        return sum_us_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t bucket(std::size_t i) const {
-        return buckets_[i].load(std::memory_order_relaxed);
-    }
-    /// Upper edge of finite bucket i in microseconds (2^i).
-    static std::uint64_t upper_edge_us(std::size_t i) {
-        return std::uint64_t{1} << i;
-    }
-
-private:
-    static std::size_t bucket_of(std::uint64_t us);
-
-    std::atomic<std::uint64_t> buckets_[kBuckets + 1]{};  ///< last = +Inf
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sum_us_{0};
-};
-
 class Registry {
 public:
     using Collector = std::function<void(std::string&)>;
 
-    /// Get-or-create; `labels` ("{k=\"v\"}" or empty) distinguishes series
-    /// within one family, `help` is taken from the first registration.
-    /// Re-registering a (name, labels) pair with a different kind throws.
-    Counter& counter(const std::string& name, const std::string& help,
-                     const std::string& labels = "");
-    Gauge& gauge(const std::string& name, const std::string& help,
-                 const std::string& labels = "");
-    Histogram& histogram(const std::string& name, const std::string& help,
-                         const std::string& labels = "");
-
     /// Scrape-time bridge for pull-style stats; called under the registry
     /// mutex during expose(), so collectors must not re-enter the
-    /// registry. Appended after the registered instruments.
+    /// registry. Collectors run in registration order.
     void add_collector(Collector c);
 
-    /// Prometheus text exposition of every instrument + collector output,
-    /// terminated by a "# EOF" line. Families sort by name (deterministic
-    /// scrapes); counters get a `_total` suffix per convention.
+    /// Every collector's exposition text, terminated by a "# EOF" line.
     std::string expose() const;
 
 private:
-    enum class Kind { Counter, Gauge, Histogram };
-    struct Series {
-        std::string labels;
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
-    };
-    struct Family {
-        Kind kind = Kind::Counter;
-        std::string help;
-        std::vector<Series> series;  ///< registration order within family
-    };
-
-    Family& family_locked(const std::string& name, Kind kind,
-                          const std::string& help);
-    Series& series_locked(Family& fam, const std::string& name,
-                          const std::string& labels);
-
     mutable std::mutex m_;
-    std::map<std::string, Family> families_;
     std::vector<Collector> collectors_;
 };
 

@@ -30,7 +30,7 @@ OnlineEngine::OnlineEngine(std::shared_ptr<const runtime::CompiledModel> model,
     if (!feedback_)
         throw std::invalid_argument(
             "OnlineEngine: null feedback queue (enable "
-            "ServerOptions::admission.feedback_capacity)");
+            "RouterOptions::admission.feedback_capacity)");
     if (holdout_.size() == 0)
         throw std::invalid_argument("OnlineEngine: empty holdout set");
     if (opt_.publish_interval == 0)

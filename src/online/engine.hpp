@@ -3,10 +3,10 @@
 // (docs/ARCHITECTURE.md §9). The paper's headline capability is EMSTDP
 // updates running *on the chip that serves*; this engine is the production
 // shape of that: a background learner Session trains on live labeled
-// feedback next to an unpaused serve::Server pool, and hands the pool new
+// feedback next to an unpaused serve::ModelRouter pool, and hands the pool new
 // weights through the runtime's versioned COW publication channel.
 //
-//   serve::Server ──feedback queue──► learner Session (EMSTDP + replay)
+//   serve::ModelRouter ──feedback───► learner Session (EMSTDP + replay)
 //        ▲                                    │ every publish_interval samples
 //        │ Session::refresh()                 ▼ candidate snapshot
 //        │ at batch boundaries        shadow-eval Session (held-out set)
@@ -70,11 +70,11 @@ struct OnlineStats {
 
 class OnlineEngine {
 public:
-    /// `model` is the same CompiledModel the serve::Server pool runs on —
-    /// publication reaches the pool through the model's weight channel.
-    /// `feedback` is typically Server::feedback_queue(). `holdout` is the
-    /// shadow-eval set (never trained on). Throws std::invalid_argument on
-    /// a null model/queue or an empty holdout.
+    /// `model` is the same CompiledModel the serve::ModelRouter pool runs
+    /// on — publication reaches the pool through the model's weight
+    /// channel. `feedback` is typically ModelRouter::feedback_queue().
+    /// `holdout` is the shadow-eval set (never trained on). Throws
+    /// std::invalid_argument on a null model/queue or an empty holdout.
     OnlineEngine(std::shared_ptr<const runtime::CompiledModel> model,
                  std::shared_ptr<serve::FeedbackQueue> feedback,
                  data::Dataset holdout, OnlineOptions opt = {});
@@ -92,7 +92,7 @@ public:
 
     /// Graceful shutdown: closes the feedback queue (ending intake),
     /// drains what was already accepted, and joins the learner. Idempotent;
-    /// also triggered by Server::shutdown() closing the shared queue, in
+    /// also triggered by ModelRouter::shutdown() closing the shared queue, in
     /// which case stop() just joins.
     void stop();
 

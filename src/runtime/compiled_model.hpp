@@ -51,8 +51,8 @@ public:
     }
 
     /// Session-pool hook: opens `n` independent sessions in one call — the
-    /// worker-pool pattern (serve::Server, ParallelTrainer) without N open
-    /// loops at every call site. Sessions are mutually independent.
+    /// worker-pool pattern (serve::ModelRouter, ParallelTrainer) without N
+    /// open loops at every call site. Sessions are mutually independent.
     std::vector<std::unique_ptr<Session>> open_sessions(std::size_t n) const {
         std::vector<std::unique_ptr<Session>> out;
         out.reserve(n);

@@ -96,9 +96,11 @@ public:
     virtual const loihi::ActivityTotals* activity() const { return nullptr; }
     /// Cumulative kernel phase-timer sinks (sweep/accumulation wall time,
     /// obs/timer.hpp — advance only while obs::set_timing(true)); null when
-    /// the backend has none. Read on the session's own thread only: the
-    /// serving workers snapshot before/after a request to attribute its
-    /// compute span (ARCHITECTURE §14).
+    /// the backend has none. A sharded session sums its shards on read, so
+    /// the pointee is a snapshot: call again for a later reading. Read on
+    /// the session's own thread only: the serving workers snapshot
+    /// before/after a request to attribute its compute span
+    /// (ARCHITECTURE §14).
     virtual const loihi::KernelPhaseTimes* kernel_phases() const {
         return nullptr;
     }

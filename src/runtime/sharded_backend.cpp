@@ -45,15 +45,26 @@ public:
         activity_ = net_.activity();
         return &activity_;
     }
+    const loihi::KernelPhaseTimes* kernel_phases() const override {
+        phases_ = {};
+        const auto& chips = net_.chips();
+        for (std::size_t i = 0; i < chips.num_shards(); ++i) {
+            phases_.sweep_ns += chips.shard(i).kernel_phase_times().sweep_ns;
+            phases_.accum_ns += chips.shard(i).kernel_phase_times().accum_ns;
+        }
+        return &phases_;
+    }
     core::ShardedEmstdpNetwork* native_sharded_network() override {
         return &net_;
     }
 
 private:
     core::ShardedEmstdpNetwork net_;
-    /// Aggregated-on-read snapshot (activity() must hand out a stable
-    /// pointer; the per-shard counters live in the shard chips).
+    /// Aggregated-on-read snapshots (activity() and kernel_phases() must
+    /// hand out stable pointers; the per-shard counters live in the shard
+    /// chips).
     mutable loihi::ActivityTotals activity_{};
+    mutable loihi::KernelPhaseTimes phases_{};
 };
 
 /// Immutable artifact: a fully-built sharded prototype. Sessions replicate

@@ -20,7 +20,7 @@
 //     handed back as a DeadlineExceeded drop instead.
 //
 // Drops are never silent: every dequeue operation surfaces the entries it
-// dropped to the caller (serve::Server resolves their futures as
+// dropped to the caller (serve::ModelRouter resolves their futures as
 // Rejected{Overload|DeadlineExceeded}), so the accepted-implies-completed
 // guarantee survives — "completed" now includes "explicitly rejected at
 // the head", which is the whole point of admission control.
@@ -70,7 +70,7 @@ struct CoDelConfig {
     std::uint64_t interval_us = 100'000;///< how long above target before dropping
 };
 
-/// Shared admission configuration (ServerOptions::admission).
+/// Shared admission configuration (RouterOptions::admission).
 struct AdmissionConfig {
     CoDelConfig codel;
     /// Weighted-round-robin quanta per class, indexed by Priority. Every

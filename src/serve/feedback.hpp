@@ -1,7 +1,7 @@
 #pragma once
 // Labeled-feedback intake for learning-while-serving (neuro::online,
 // docs/ARCHITECTURE.md §9). Clients that learn the true label after (or
-// alongside) an inference hand it back through Server::submit_feedback;
+// alongside) an inference hand it back through ModelRouter::submit_feedback;
 // the samples flow through the Feedback class of the admission layer —
 // an AdmissionQueue running the same CoDel discipline as the request
 // queue — which the background learner (online::OnlineEngine) drains with
@@ -12,7 +12,7 @@
 // stale samples at the head — a label that sat in the queue through a
 // whole overload episode describes a model state the learner has already
 // moved past, so training on it is wasted energy. Capacity and discipline
-// come from ServerOptions::admission (AdmissionConfig::feedback_capacity),
+// come from RouterOptions::admission (AdmissionConfig::feedback_capacity),
 // not a standalone knob: feedback is just the lowest-priority class.
 
 #include <cstddef>
@@ -33,7 +33,7 @@ struct FeedbackSample {
     std::string model;
 };
 
-/// The hand-off between Server::submit_feedback and the online learner.
+/// The hand-off between ModelRouter::submit_feedback and the online learner.
 using FeedbackQueue = AdmissionQueue<FeedbackSample>;
 
 }  // namespace neuro::serve

@@ -46,7 +46,7 @@ const char* to_string(RejectReason r);
 struct InferenceResult;
 
 /// Completion callback for the push-style submit path (SubmitOptions::
-/// on_complete / Server::submit_async). Invoked exactly once per request
+/// on_complete / ModelRouter::submit_async). Invoked exactly once per request
 /// with the final result — on a worker thread for dispatched/head-dropped
 /// requests, inline on the submitter's thread for intake rejects. Must not
 /// throw and must not block: the serving workers (and, in neurod, the
@@ -55,7 +55,7 @@ using CompletionFn = std::function<void(InferenceResult&&)>;
 
 /// Per-request submission parameters — the single options struct every
 /// submit verb (submit / submit_counts / submit_async / submit_feedback)
-/// takes, on both Server and ModelRouter. One struct instead of parallel
+/// takes on ModelRouter. One struct instead of parallel
 /// overload ladders: a new knob lands in every path at once.
 struct SubmitOptions {
     Priority priority = Priority::Interactive;
@@ -64,8 +64,8 @@ struct SubmitOptions {
     /// dispatched — it resolves Rejected{DeadlineExceeded} instead.
     std::uint64_t deadline_us = 0;
     /// Which fleet entry serves this request; "" = the default model, so
-    /// every pre-router call site keeps its meaning unchanged. On a plain
-    /// single-model Server a non-empty name resolves
+    /// every pre-router call site keeps its meaning unchanged. On a fleet
+    /// of one (no RouterOptions::fleet_dir) a non-empty name resolves
     /// Rejected{UnknownModel}.
     std::string model;
     /// Stable client-supplied id (netd passes the wire request_id). The
@@ -90,7 +90,7 @@ struct InferenceResult {
     /// argmax prediction. For count requests ties break on the raw counts
     /// (first maximum) rather than the backend's membrane tie-break.
     std::size_t label = 0;
-    /// Phase-1 output spike counts; filled only for Server::submit_counts.
+    /// Phase-1 output spike counts; filled only for ModelRouter::submit_counts.
     std::vector<std::int32_t> counts;
     /// Accept-to-completion latency (queueing + batching + inference).
     double latency_us = 0.0;

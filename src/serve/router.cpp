@@ -42,6 +42,27 @@ bool valid_model_name(const std::string& name) {
 
 }  // namespace
 
+const char* to_string(Status s) {
+    switch (s) {
+        case Status::Ok: return "ok";
+        case Status::Rejected: return "rejected";
+        case Status::Error: return "error";
+    }
+    return "?";
+}
+
+const char* to_string(RejectReason r) {
+    switch (r) {
+        case RejectReason::None: return "none";
+        case RejectReason::QueueFull: return "queue-full";
+        case RejectReason::Shutdown: return "shutdown";
+        case RejectReason::Overload: return "overload";
+        case RejectReason::DeadlineExceeded: return "deadline-exceeded";
+        case RejectReason::UnknownModel: return "unknown-model";
+    }
+    return "?";
+}
+
 bool ModelRouter::canary_arm(std::uint64_t request_id, std::uint32_t pct) {
     if (pct == 0) return false;
     if (pct >= 100) return true;
@@ -370,9 +391,8 @@ ModelRouter::DispatchSlot ModelRouter::acquire_slot(
         ++e->base_dispatched;
         ++e->base_inflight;
         // Batch boundary: the base arm adopts a newly published weight
-        // image once per (entry, worker, batch), exactly the old Server
-        // refresh discipline. The canary arm never refreshes — its whole
-        // point is serving a fixed candidate version.
+        // image once per (entry, worker, batch). The canary arm never
+        // refreshes — its whole point is serving a fixed candidate version.
         if (e->refreshed_batch[worker] != batch_ordinal) {
             e->refreshed_batch[worker] = batch_ordinal;
             slot.do_refresh = true;
@@ -475,15 +495,13 @@ void ModelRouter::worker_loop(std::size_t worker_index) {
                     metrics_.on_weight_refresh();
                 // Kernel phase attribution: the session's cumulative
                 // sweep/accumulate sinks are deltaed around the compute
-                // call. Same-thread reads — a session is owned by this
-                // worker — so plain loads are safe.
+                // call, re-read after it (a sharded session snapshots its
+                // shard sum on each read). Same-thread reads — a session
+                // is owned by this worker — so plain loads are safe.
                 const loihi::KernelPhaseTimes* phases =
                     stamping ? slot.session->kernel_phases() : nullptr;
-                std::uint64_t sweep0 = 0, accum0 = 0;
-                if (phases) {
-                    sweep0 = phases->sweep_ns;
-                    accum0 = phases->accum_ns;
-                }
+                const loihi::KernelPhaseTimes before =
+                    phases ? *phases : loihi::KernelPhaseTimes{};
                 try {
                     if (r.kind == Request::Kind::Predict) {
                         res.label = slot.session->predict(r.image);
@@ -500,8 +518,10 @@ void ModelRouter::worker_loop(std::size_t worker_index) {
                     res.error = e.what();
                 }
                 if (phases) {
-                    r.trace.kernel_sweep_ns = phases->sweep_ns - sweep0;
-                    r.trace.kernel_accum_ns = phases->accum_ns - accum0;
+                    const loihi::KernelPhaseTimes after =
+                        *slot.session->kernel_phases();
+                    r.trace.kernel_sweep_ns = after.sweep_ns - before.sweep_ns;
+                    r.trace.kernel_accum_ns = after.accum_ns - before.accum_ns;
                 }
                 if (stamping) r.trace.t_compute_done_us = clock_->now_us();
                 const std::uint64_t now = clock_->now_us();

@@ -47,10 +47,22 @@
 // interleaving trivially race-free (tests/router_test.cpp hammers this
 // under TSan).
 //
-// serve::Server is now a thin single-model wrapper over this class, so the
-// two share one engine: admission, micro-batching, refresh-at-batch-
-// boundary, stats, and the accepted-implies-completed guarantee behave
-// identically whether or not a fleet is configured.
+// This is the one serving API. Without RouterOptions::fleet_dir it is a
+// fleet of one — the single-model engine — and admission, micro-batching,
+// refresh-at-batch-boundary, stats, and the accepted-implies-completed
+// guarantee behave identically whether or not a fleet is configured.
+// Contracts (tests/serve_test.cpp, tests/router_test.cpp):
+//
+//   * Workers own one Session each per resident arm (Sessions are not
+//     thread-safe, models are; docs/ARCHITECTURE.md §5).
+//   * Every ACCEPTED request resolves: dispatched requests complete
+//     Ok/Error, head-dropped requests complete Rejected{Overload|
+//     DeadlineExceeded}; shutdown() closes the intake, drains the queue,
+//     and joins the workers.
+//   * Backpressure acts at the intake: Block parks the submitter until
+//     space frees; Shed returns an already-completed Rejected{QueueFull}.
+//   * Determinism: results are bit-identical to sequential Session calls
+//     no matter the batch size, worker count, or arrival order.
 
 #include <atomic>
 #include <chrono>
@@ -90,7 +102,7 @@ struct RouterOptions {
     std::shared_ptr<Clock> clock;
     /// Root directory holding one online::ModelRegistry subdirectory per
     /// model name — the lazy-load source. "" disables fleet loading (the
-    /// router then serves only its default model, i.e. plain Server mode).
+    /// router then serves only its default model: a fleet of one).
     std::string fleet_dir;
     /// Registry directory for the DEFAULT entry's pin/canary weights
     /// (typically the same registry the online engine records into). ""

@@ -1,6 +1,6 @@
 #pragma once
 // Serving observability: log-bucketed latency + sojourn histograms plus
-// the thread-safe metrics sink workers record into. Server::stats()
+// the thread-safe metrics sink workers record into. ModelRouter::stats()
 // snapshots the sink — merged with the admission queues' disposition
 // counters — into a plain ServerStats struct that benches export through
 // bench_util::JsonWriter (see bench/serving_load.cpp for the schema).
@@ -17,11 +17,7 @@
 
 namespace neuro::serve {
 
-/// The histogram now lives in common::stats (shared with neuro::online);
-/// this alias keeps the historical serve::LatencyHistogram name working.
-using LatencyHistogram = common::LatencyHistogram;
-
-/// Point-in-time snapshot of a Server's counters. Plain data — safe to
+/// Point-in-time snapshot of a ModelRouter's counters. Plain data — safe to
 /// copy out of the lock and print/serialize at leisure.
 ///
 /// Top-level accepted/rejected/completed count INFERENCE requests only
@@ -71,7 +67,7 @@ struct ServerStats {
     double p99_us = 0.0;
     double mean_us = 0.0;
     double max_us = 0.0;
-    double elapsed_s = 0.0;        ///< since Server::start()
+    double elapsed_s = 0.0;        ///< since ModelRouter::start()
     double throughput_rps = 0.0;   ///< completed / elapsed_s
 };
 
@@ -82,7 +78,7 @@ struct ServerStats {
 /// common/json.hpp, the same rules bench_util::JsonWriter uses.
 std::string stats_to_json(const ServerStats& s);
 
-/// The mutable, mutex-guarded sink behind Server::stats(). One mutex is
+/// The mutable, mutex-guarded sink behind ModelRouter::stats(). One mutex is
 /// plenty: inference dominates each request by orders of magnitude.
 /// Per-class accept/drop accounting lives in the AdmissionQueues
 /// themselves (AdmissionCounters) — snapshot() merges them in.
@@ -123,8 +119,8 @@ private:
     std::uint64_t batched_requests_ = 0;
     std::size_t max_batch_ = 0;
     std::size_t peak_queue_depth_ = 0;
-    LatencyHistogram latency_;
-    LatencyHistogram sojourn_;
+    common::LatencyHistogram latency_;
+    common::LatencyHistogram sojourn_;
 };
 
 }  // namespace neuro::serve

@@ -2,9 +2,9 @@
 // (serve/admission.hpp): every CoDel state transition, the sqrt-decreasing
 // drop schedule, weighted round-robin interleaving, and deadline-aware
 // drops are driven by a ManualClock — no sleeps, no wall-time flakiness.
-// The Server-level tests at the bottom pin the end-to-end contracts: an
-// expired deadline resolves Rejected{DeadlineExceeded} without costing a
-// session slot, and with no drops the admission-enabled server is
+// The ModelRouter-level tests at the bottom pin the end-to-end contracts:
+// an expired deadline resolves Rejected{DeadlineExceeded} without costing
+// a session slot, and with no drops the admission-enabled router is
 // bit-identical to the default one and to sequential Session inference.
 
 #include <gtest/gtest.h>
@@ -19,7 +19,7 @@
 #include "runtime/compiled_model.hpp"
 #include "serve/admission.hpp"
 #include "serve/clock.hpp"
-#include "serve/server.hpp"
+#include "serve/router.hpp"
 
 using namespace neuro;
 using serve::Admitted;
@@ -453,7 +453,7 @@ TEST(CollectAdmitted, CoalescesPastDropsWithinOneBatch) {
     EXPECT_EQ(dropped, (std::vector<int>{90}));
 }
 
-// ---- Server integration (ManualClock end-to-end) ----------------------------
+// ---- ModelRouter integration (ManualClock end-to-end) -----------------------
 
 namespace {
 
@@ -475,22 +475,22 @@ data::Dataset make_images(std::size_t n) {
 
 }  // namespace
 
-TEST(ServerAdmission, ExpiredDeadlineResolvesRejectedWithoutASessionSlot) {
+TEST(RouterAdmission, ExpiredDeadlineResolvesRejectedWithoutASessionSlot) {
     auto clk = std::make_shared<ManualClock>();
     clk->set_us(1'000);
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 1;
     opt.clock = clk;
-    serve::Server server(make_model(), opt);  // not started: queue absorbs
+    serve::ModelRouter router(make_model(), opt);  // not started: queue absorbs
 
     const auto images = make_images(4);
     std::vector<serve::InferenceHandle> doomed;
     serve::SubmitOptions sub;
     sub.deadline_us = 500;  // absolute deadline 1500 on the manual clock
     for (int i = 0; i < 3; ++i)
-        doomed.push_back(server.submit(images.samples[0].image, sub));
+        doomed.push_back(router.submit(images.samples[0].image, sub));
     clk->set_us(10'000);  // all three SLOs are now long gone
-    server.start();
+    router.start();
 
     for (auto& h : doomed) {
         serve::InferenceResult r = h.get();
@@ -499,11 +499,11 @@ TEST(ServerAdmission, ExpiredDeadlineResolvesRejectedWithoutASessionSlot) {
         EXPECT_EQ(r.sojourn_us, 9'000.0);
     }
     // The pool is still healthy: live traffic flows normally.
-    serve::InferenceResult ok = server.submit(images.samples[1].image).get();
+    serve::InferenceResult ok = router.submit(images.samples[1].image).get();
     EXPECT_EQ(ok.status, serve::Status::Ok);
-    server.shutdown();
+    router.shutdown();
 
-    const serve::ServerStats s = server.stats();
+    const serve::ServerStats s = router.stats();
     EXPECT_EQ(s.accepted, 4u);
     EXPECT_EQ(s.completed, 1u);
     EXPECT_EQ(s.deadline_dropped, 3u);
@@ -512,32 +512,32 @@ TEST(ServerAdmission, ExpiredDeadlineResolvesRejectedWithoutASessionSlot) {
     EXPECT_EQ(s.errors, 0u);
 }
 
-TEST(ServerAdmission, PriorityClassRoundTripsIntoResultAndStats) {
-    serve::ServerOptions opt;
+TEST(RouterAdmission, PriorityClassRoundTripsIntoResultAndStats) {
+    serve::RouterOptions opt;
     opt.workers = 1;
     opt.admission.feedback_capacity = 8;
-    serve::Server server(make_model(), opt);
-    server.start();
+    serve::ModelRouter router(make_model(), opt);
+    router.start();
     const auto images = make_images(2);
 
     serve::SubmitOptions batch_cls;
     batch_cls.priority = Priority::Batch;
-    serve::InferenceResult r = server.submit(images.samples[0].image, batch_cls).get();
+    serve::InferenceResult r = router.submit(images.samples[0].image, batch_cls).get();
     EXPECT_EQ(r.status, serve::Status::Ok);
     EXPECT_EQ(r.priority, Priority::Batch);
     EXPECT_GE(r.latency_us, r.sojourn_us);
 
-    ASSERT_TRUE(server.submit_feedback(images.samples[1].image, 3));
-    server.shutdown();
+    ASSERT_TRUE(router.submit_feedback(images.samples[1].image, 3));
+    router.shutdown();
 
-    const serve::ServerStats s = server.stats();
+    const serve::ServerStats s = router.stats();
     EXPECT_EQ(s.class_accepted[kB], 1u);
     EXPECT_EQ(s.class_accepted[kF], 1u);  // feedback rides the Feedback class
     EXPECT_EQ(s.class_codel_dropped[kB], 0u);
     EXPECT_EQ(s.drop_state_entries, 0u);
 }
 
-TEST(ServerAdmission, NoDropAdmissionIsBitIdenticalToDefaultServerAndSession) {
+TEST(RouterAdmission, NoDropAdmissionIsBitIdenticalToDefaultRouterAndSession) {
     const auto model = make_model();
     const auto data = make_images(24);
 
@@ -552,29 +552,29 @@ TEST(ServerAdmission, NoDropAdmissionIsBitIdenticalToDefaultServerAndSession) {
     // Admission fully enabled, but nothing ever crosses the (generous)
     // CoDel target and no deadlines are set — so no drops occur, and every
     // accepted result must be bit-identical to the admission-free path.
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 3;
     opt.admission.codel.enabled = true;
     opt.admission.codel.target_us = 10'000'000;
     opt.admission.codel.interval_us = 1'000'000;
     opt.admission.weights = {4, 2, 1};
-    serve::Server server(model, opt);
-    server.start();
+    serve::ModelRouter router(model, opt);
+    router.start();
 
     std::vector<serve::InferenceHandle> handles;
     for (std::size_t i = 0; i < data.samples.size(); ++i) {
         serve::SubmitOptions sub;
         sub.priority = (i % 2 == 0) ? Priority::Interactive : Priority::Batch;
-        handles.push_back(server.submit(data.samples[i].image, sub));
+        handles.push_back(router.submit(data.samples[i].image, sub));
     }
     for (std::size_t i = 0; i < handles.size(); ++i) {
         serve::InferenceResult r = handles[i].get();
         ASSERT_EQ(r.status, serve::Status::Ok);
         EXPECT_EQ(r.label, expected[i]) << "image " << i;
     }
-    server.shutdown();
+    router.shutdown();
 
-    const serve::ServerStats s = server.stats();
+    const serve::ServerStats s = router.stats();
     EXPECT_EQ(s.codel_dropped, 0u);
     EXPECT_EQ(s.deadline_dropped, 0u);
     EXPECT_EQ(s.drop_state_entries, 0u);

@@ -367,7 +367,7 @@ TEST(BoundedQueue, MpmcStressDeliversEverythingOnce) {
     for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
-// ---- latency histogram (moved here from serve; serve keeps an alias) --------
+// ---- latency histogram (the one histogram behind every latency readout) ----
 
 TEST(LatencyHistogram, PercentilesBoundedBySubBucketResolution) {
     LatencyHistogram h;
@@ -375,6 +375,10 @@ TEST(LatencyHistogram, PercentilesBoundedBySubBucketResolution) {
     EXPECT_EQ(h.count(), 1000u);
     EXPECT_DOUBLE_EQ(h.max_us(), 1000.0);
     EXPECT_NEAR(h.mean_us(), 500.5, 1e-9);
+    // Percentiles are monotone and never exceed the observed maximum.
+    EXPECT_LE(h.percentile(0.50), h.percentile(0.95));
+    EXPECT_LE(h.percentile(0.95), h.percentile(0.99));
+    EXPECT_LE(h.percentile(0.99), h.max_us());
     // Log-bucketed estimates err high by at most one sub-bucket (~6%).
     EXPECT_GE(h.percentile(0.50), 500.0);
     EXPECT_LE(h.percentile(0.50), 500.0 * 1.07);

@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,7 +41,7 @@
 #include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
 #include "serve/clock.hpp"
-#include "serve/server.hpp"
+#include "serve/router.hpp"
 
 using namespace neuro;
 using netd::MsgKind;
@@ -131,21 +132,14 @@ std::string make_fleet(
 }
 
 /// One daemon on unique Unix socket paths, run on a dedicated thread.
-/// Tests tweak the public option fields before start().
+/// Tests tweak the public option fields before start(); setting
+/// ropt.fleet_dir turns the router into a multi-model fleet.
 struct Harness {
     std::shared_ptr<const runtime::CompiledModel> model = make_model();
-    serve::ServerOptions sopt;
+    serve::RouterOptions ropt;
     netd::DaemonOptions dopt;
     std::shared_ptr<online::ModelRegistry> registry;
-    /// When set, start() builds a fleet-enabled ModelRouter and the
-    /// router-native Daemon instead of the legacy Server + compat ctor.
-    std::string fleet_dir;
-    std::size_t budget_bytes = 0;
-    /// Observability knobs for the fleet branch (RouterOptions).
-    obs::FlightRecorder* recorder = nullptr;
-    std::uint64_t slow_request_us = 0;
 
-    std::shared_ptr<serve::Server> server;
     std::shared_ptr<serve::ModelRouter> router;
     std::unique_ptr<netd::Daemon> daemon;
     std::thread thread;
@@ -158,34 +152,15 @@ struct Harness {
              std::to_string(counter.fetch_add(1)));
         dopt.data_path = base.string() + ".sock";
         dopt.control_path = base.string() + ".ctl";
-        sopt.workers = 2;
-        sopt.queue_capacity = 64;
-        sopt.backpressure = serve::Backpressure::Shed;
+        ropt.workers = 2;
+        ropt.queue_capacity = 64;
+        ropt.backpressure = serve::Backpressure::Shed;
     }
 
-    void start(bool start_server = true) {
-        if (fleet_dir.empty()) {
-            server = std::make_shared<serve::Server>(model, sopt);
-            router = server->router();
-            if (start_server) server->start();
-            daemon =
-                std::make_unique<netd::Daemon>(server, model, dopt, registry);
-        } else {
-            serve::RouterOptions ropt;
-            ropt.workers = sopt.workers;
-            ropt.queue_capacity = sopt.queue_capacity;
-            ropt.batch = sopt.batch;
-            ropt.backpressure = sopt.backpressure;
-            ropt.admission = sopt.admission;
-            ropt.clock = sopt.clock;
-            ropt.fleet_dir = fleet_dir;
-            ropt.resident_budget_bytes = budget_bytes;
-            ropt.recorder = recorder;
-            ropt.slow_request_us = slow_request_us;
-            router = std::make_shared<serve::ModelRouter>(model, ropt);
-            if (start_server) router->start();
-            daemon = std::make_unique<netd::Daemon>(router, dopt, registry);
-        }
+    void start(bool start_router = true) {
+        router = std::make_shared<serve::ModelRouter>(model, ropt);
+        if (start_router) router->start();
+        daemon = std::make_unique<netd::Daemon>(router, dopt, registry);
         thread = std::thread([this] { daemon->run(); });
         // The daemon binds on its own thread; wait until it answers.
         ASSERT_TRUE(eventually([&] {
@@ -206,10 +181,7 @@ struct Harness {
     void stop() {
         if (daemon && !daemon->finished()) daemon->request_shutdown();
         if (thread.joinable()) thread.join();
-        if (server)
-            server->shutdown();
-        else if (router)
-            router->shutdown();
+        if (router) router->shutdown();
     }
 
     ~Harness() {
@@ -220,6 +192,29 @@ struct Harness {
 };
 
 }  // namespace
+
+// ---- configuration ----------------------------------------------------------
+
+TEST(Netd, DaemonRejectsInvalidConfiguration) {
+    netd::DaemonOptions dopt;
+    dopt.data_path = "unused.sock";
+    EXPECT_THROW(netd::Daemon(nullptr, dopt), std::invalid_argument);
+
+    // Block backpressure would park the event loop on a full queue.
+    serve::RouterOptions block;
+    block.backpressure = serve::Backpressure::Block;
+    EXPECT_THROW(
+        netd::Daemon(std::make_shared<serve::ModelRouter>(make_model(), block),
+                     dopt),
+        std::invalid_argument);
+
+    serve::RouterOptions shed;
+    shed.backpressure = serve::Backpressure::Shed;
+    EXPECT_THROW(
+        netd::Daemon(std::make_shared<serve::ModelRouter>(make_model(), shed),
+                     netd::DaemonOptions{}),
+        std::invalid_argument);
+}
 
 // ---- data path --------------------------------------------------------------
 
@@ -273,22 +268,22 @@ TEST(Netd, PipelinedRequestsResolveByRequestId) {
 }
 
 TEST(Netd, WireDeadlineExpiresIntoRejectedFrame) {
-    // ManualClock + a not-yet-started server pin the race: the request is
+    // ManualClock + a not-yet-started router pin the race: the request is
     // accepted over the wire, virtual time jumps past its deadline, and
     // only then do workers run — the head drop must come back as a frame.
     Harness h;
     const auto clock = std::make_shared<serve::ManualClock>();
-    h.sopt.clock = clock;
-    h.start(/*start_server=*/false);
+    h.ropt.clock = clock;
+    h.start(/*start_router=*/false);
 
     auto client = h.connect();
     auto frame = make_frame(make_images(1).samples[0].image, 77);
     frame.deadline_us = 1'000;
     client.send(frame);
-    ASSERT_TRUE(eventually([&] { return h.server->stats().accepted >= 1; }));
+    ASSERT_TRUE(eventually([&] { return h.router->stats().accepted >= 1; }));
 
     clock->advance_us(2'000);  // the SLO passes while queued
-    h.server->start();
+    h.router->start();
 
     ResponseFrame resp;
     ASSERT_TRUE(client.recv_response(resp));
@@ -301,7 +296,7 @@ TEST(Netd, WireDeadlineExpiresIntoRejectedFrame) {
 
 TEST(Netd, FeedbackFramesFeedTheLearnerQueue) {
     Harness h;
-    h.sopt.admission.feedback_capacity = 8;
+    h.ropt.admission.feedback_capacity = 8;
     h.start();
     const auto img = make_images(1).samples[0].image;
 
@@ -489,7 +484,7 @@ TEST(Netd, RegistryPinAndRollbackRoundTrip) {
 
 TEST(Netd, V2RoutesToMultipleModelsBitIdentically) {
     Harness h;
-    h.fleet_dir = make_fleet("route", *h.model, {{"alpha", 1}, {"beta", 2}});
+    h.ropt.fleet_dir = make_fleet("route", *h.model, {{"alpha", 1}, {"beta", 2}});
     h.start();
     const auto images = make_images(8);
 
@@ -538,7 +533,7 @@ TEST(Netd, V2RoutesToMultipleModelsBitIdentically) {
 
 TEST(Netd, V2UnknownModelRejectsOnTheWire) {
     Harness h;
-    h.fleet_dir = make_fleet("ghost", *h.model, {{"alpha", 1}});
+    h.ropt.fleet_dir = make_fleet("ghost", *h.model, {{"alpha", 1}});
     h.start();
     auto client = h.connect();
 
@@ -555,7 +550,7 @@ TEST(Netd, V1FramesStillServeTheDefaultModelOnAFleetDaemon) {
     // A v1 client pointed at a fleet-enabled daemon must see exactly what it
     // saw before multi-model existed: default-model answers in v1 frames.
     Harness h;
-    h.fleet_dir = make_fleet("compat", *h.model, {{"alpha", 1}});
+    h.ropt.fleet_dir = make_fleet("compat", *h.model, {{"alpha", 1}});
     h.start();
     const auto img = make_images(1).samples[0].image;
     const auto session = h.model->open_session();
@@ -570,12 +565,12 @@ TEST(Netd, V1FramesStillServeTheDefaultModelOnAFleetDaemon) {
 
 TEST(Netd, FleetControlCommandsDriveTheRouter) {
     Harness h;
-    h.fleet_dir = make_fleet("ctl", *h.model, {{"alpha", 1}, {"beta", 2}});
+    h.ropt.fleet_dir = make_fleet("ctl", *h.model, {{"alpha", 1}, {"beta", 2}});
     // A second alpha version with a different forced winner makes pin and
     // canary switches observable through the data socket.
     {
         online::ModelRegistry reg(
-            (std::filesystem::path(h.fleet_dir) / "alpha").string());
+            (std::filesystem::path(h.ropt.fleet_dir) / "alpha").string());
         reg.record(2, 0.95, forced_snapshot(*h.model, 3));
     }
     h.start();
@@ -629,7 +624,7 @@ TEST(Netd, FleetControlCommandsDriveTheRouter) {
     const std::string after = h.control("models");
     EXPECT_NE(after.find("\"name\":\"alpha\""), std::string::npos);
 
-    std::filesystem::remove_all(h.fleet_dir);
+    std::filesystem::remove_all(h.ropt.fleet_dir);
 }
 
 // ---- observability (docs/ARCHITECTURE.md §14) -------------------------------
@@ -645,6 +640,9 @@ TEST(Netd, MetricsScrapeExposesServerAndDaemonFamilies) {
         const auto resp = client.call(make_frame(img, id));
         ASSERT_EQ(resp.status, WireStatus::Ok) << resp.error;
     }
+    // A micro-batch is accounted right after its requests resolve, so the
+    // last response can reach the client before its batch is counted.
+    ASSERT_TRUE(eventually([&] { return h.router->stats().completed >= 4; }));
 
     const std::string text =
         netd::control_request_multiline(h.dopt.control_path, "metrics");
@@ -670,7 +668,7 @@ TEST(Netd, MetricsScrapeExposesServerAndDaemonFamilies) {
 TEST(Netd, MetricsScrapeCoversTheFleetPerModelFamilies) {
     obs::Registry reg;
     Harness h;
-    h.fleet_dir = make_fleet("metrics", *h.model, {{"alpha", 1}});
+    h.ropt.fleet_dir = make_fleet("metrics", *h.model, {{"alpha", 1}});
     h.dopt.metrics = &reg;
     h.start();
     EXPECT_EQ(h.control("load alpha"), "ok loaded alpha version 1");
@@ -685,7 +683,7 @@ TEST(Netd, MetricsScrapeCoversTheFleetPerModelFamilies) {
     EXPECT_NE(text.find("neuro_model_dispatched_total"), std::string::npos);
     EXPECT_NE(text.find("neuro_model_weight_bytes{model=\"alpha\"}"),
               std::string::npos);
-    std::filesystem::remove_all(h.fleet_dir);
+    std::filesystem::remove_all(h.ropt.fleet_dir);
 }
 
 TEST(Netd, MetricsWithoutRegistryAndEventsWithoutRecorderErr) {
@@ -702,8 +700,8 @@ TEST(Netd, MetricsWithoutRegistryAndEventsWithoutRecorderErr) {
 TEST(Netd, EventsDumpRecordsControlPlaneHistory) {
     obs::FlightRecorder rec(64);
     Harness h;
-    h.fleet_dir = make_fleet("events", *h.model, {{"alpha", 1}});
-    h.recorder = &rec;
+    h.ropt.fleet_dir = make_fleet("events", *h.model, {{"alpha", 1}});
+    h.ropt.recorder = &rec;
     h.start();
     EXPECT_EQ(h.control("load alpha"), "ok loaded alpha version 1");
     EXPECT_EQ(h.control("pin alpha 1"), "ok pinned alpha 1");
@@ -719,15 +717,15 @@ TEST(Netd, EventsDumpRecordsControlPlaneHistory) {
     const std::string one = h.control("events 1");
     ASSERT_EQ(one.rfind("ok [", 0), 0u) << one;
     EXPECT_EQ(one.find("\"kind\":\"model_load\""), std::string::npos) << one;
-    std::filesystem::remove_all(h.fleet_dir);
+    std::filesystem::remove_all(h.ropt.fleet_dir);
 }
 
 TEST(Netd, SlowRequestEventsCarryTheSpanBreakdown) {
     obs::FlightRecorder rec(64);
     Harness h;
-    h.fleet_dir = make_fleet("slow", *h.model, {{"alpha", 1}});
-    h.recorder = &rec;
-    h.slow_request_us = 1;  // every dispatched request is "slow"
+    h.ropt.fleet_dir = make_fleet("slow", *h.model, {{"alpha", 1}});
+    h.ropt.recorder = &rec;
+    h.ropt.slow_request_us = 1;  // every dispatched request is "slow"
     h.start();
     const auto img = make_images(1).samples[0].image;
     auto client = h.connect();
@@ -741,7 +739,7 @@ TEST(Netd, SlowRequestEventsCarryTheSpanBreakdown) {
     const std::string events = h.control("events");
     EXPECT_NE(events.find("\"spans\":{"), std::string::npos) << events;
     EXPECT_NE(events.find("\"compute_us\":"), std::string::npos);
-    std::filesystem::remove_all(h.fleet_dir);
+    std::filesystem::remove_all(h.ropt.fleet_dir);
 }
 
 TEST(Netd, V3TraceEchoTelescopesToTheWireLatency) {
@@ -774,7 +772,7 @@ TEST(Netd, V3TraceEchoTelescopesToTheWireLatency) {
         spans[static_cast<std::uint8_t>(obs::SpanId::ResolveUs)];
     // The phases telescope by construction: their sum IS the total span.
     EXPECT_EQ(sum, total);
-    // And the total reconciles with the latency the server measured — the
+    // And the total reconciles with the latency the router measured — the
     // end-to-end acceptance criterion (5% plus clock-coarseness slack).
     const double slack =
         std::max(0.05 * static_cast<double>(resp.latency_us), 200.0);

@@ -3,10 +3,8 @@
 //     nesting and shared-sink addition,
 //   * TraceContext — span telescoping (queue+batch+compute+resolve ==
 //     total) and saturating deltas,
-//   * Registry — get-or-create stability, cross-thread counter shard
-//     aggregation (run under TSan in CI), histogram bucket edges, the
-//     Prometheus exposition format (sorted families, _total suffix,
-//     cumulative le buckets, collector output, "# EOF" terminator),
+//   * Registry — collector output in registration order, the sample
+//     formatting helpers, and the "# EOF" terminator,
 //   * FlightRecorder — ordering, wraparound, detail truncation, the
 //     events JSON, and concurrent writers against a snapshotting reader.
 
@@ -156,89 +154,33 @@ TEST(TraceContext, SpanIdNamesAreStable) {
 
 // ---- Registry ---------------------------------------------------------------
 
-TEST(Registry, CounterAggregatesAcrossThreads) {
+TEST(Registry, ExposeFramesCollectorOutputWithEofTerminator) {
+    obs::Registry empty;
+    EXPECT_EQ(empty.expose(), "# EOF\n");
+
     obs::Registry reg;
-    obs::Counter& c = reg.counter("neuro_test_ops", "test counter");
-    constexpr int kThreads = 8;
-    constexpr int kPerThread = 10'000;
-    std::vector<std::thread> threads;
-    for (int i = 0; i < kThreads; ++i)
-        threads.emplace_back([&c] {
-            for (int j = 0; j < kPerThread; ++j) c.inc();
-        });
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(Registry, GetOrCreateReturnsTheSameInstrument) {
-    obs::Registry reg;
-    obs::Counter& a = reg.counter("neuro_test_ops", "help");
-    obs::Counter& b = reg.counter("neuro_test_ops", "ignored second help");
-    EXPECT_EQ(&a, &b);
-    obs::Counter& labeled =
-        reg.counter("neuro_test_ops", "help", "{model=\"m0\"}");
-    EXPECT_NE(&a, &labeled);
-}
-
-TEST(Registry, KindMismatchThrows) {
-    obs::Registry reg;
-    reg.counter("neuro_test_metric", "as counter");
-    EXPECT_THROW(reg.gauge("neuro_test_metric", "as gauge"),
-                 std::invalid_argument);
-    EXPECT_THROW(reg.histogram("neuro_test_metric", "as histogram"),
-                 std::invalid_argument);
-}
-
-TEST(Registry, HistogramBucketEdgesArePowersOfTwo) {
-    obs::Histogram h;
-    h.record_us(0);    // <= 1us -> bucket 0
-    h.record_us(1);    // edge: le="1" is inclusive
-    h.record_us(2);    // bucket 1
-    h.record_us(3);    // bucket 2 (le 4)
-    h.record_us(1u << 25);            // last finite bucket
-    h.record_us((1u << 25) + 1);      // +Inf
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(2), 1u);
-    EXPECT_EQ(h.bucket(obs::Histogram::kBuckets - 1), 1u);
-    EXPECT_EQ(h.bucket(obs::Histogram::kBuckets), 1u);
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_EQ(h.sum_us(), 0u + 1 + 2 + 3 + (1u << 25) + (1u << 25) + 1);
-    EXPECT_EQ(obs::Histogram::upper_edge_us(0), 1u);
-    EXPECT_EQ(obs::Histogram::upper_edge_us(10), 1024u);
-}
-
-TEST(Registry, ExposeEmitsPrometheusTextSortedWithEofTerminator) {
-    obs::Registry reg;
-    reg.counter("neuro_zeta_ops", "last family").inc(3);
-    reg.counter("neuro_alpha_ops", "first family").inc(7);
-    reg.gauge("neuro_mid_depth", "a gauge").set(-4);
-    reg.histogram("neuro_lat_us", "a histogram").record_us(3);
-
+    reg.add_collector([](std::string& out) {
+        obs::append_help_type(out, "neuro_zeta_ops_total", "counter",
+                              "first collector");
+        obs::append_sample(out, "neuro_zeta_ops_total", "",
+                           std::uint64_t{3});
+    });
+    reg.add_collector([](std::string& out) {
+        obs::append_help_type(out, "neuro_alpha_depth", "gauge",
+                              "second collector");
+        obs::append_sample(out, "neuro_alpha_depth", "", -4.0);
+    });
     const std::string text = reg.expose();
-    // Counters get the _total suffix; families sort by name.
-    const auto alpha = text.find("neuro_alpha_ops_total 7\n");
-    const auto zeta = text.find("neuro_zeta_ops_total 3\n");
-    ASSERT_NE(alpha, std::string::npos) << text;
-    ASSERT_NE(zeta, std::string::npos) << text;
-    EXPECT_LT(alpha, zeta);
-    EXPECT_NE(text.find("# HELP neuro_alpha_ops_total first family\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE neuro_alpha_ops_total counter\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("neuro_mid_depth -4\n"), std::string::npos);
-    // Cumulative le buckets: a 3us sample lands in le="4" and above.
-    EXPECT_NE(text.find("neuro_lat_us_bucket{le=\"2\"} 0\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("neuro_lat_us_bucket{le=\"4\"} 1\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("neuro_lat_us_bucket{le=\"+Inf\"} 1\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("neuro_lat_us_sum 3\n"), std::string::npos);
-    EXPECT_NE(text.find("neuro_lat_us_count 1\n"), std::string::npos);
-    // The control-socket framing contract: text ends with a "# EOF" line.
-    ASSERT_GE(text.size(), 6u);
-    EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
+    EXPECT_EQ(text,
+              "# HELP neuro_zeta_ops_total first collector\n"
+              "# TYPE neuro_zeta_ops_total counter\n"
+              "neuro_zeta_ops_total 3\n"
+              "# HELP neuro_alpha_depth second collector\n"
+              "# TYPE neuro_alpha_depth gauge\n"
+              "neuro_alpha_depth -4\n"
+              "# EOF\n");
+    // Scrapes are repeatable: collectors run again, framing unchanged.
+    EXPECT_EQ(reg.expose(), text);
 }
 
 TEST(Registry, CollectorsAppendBeforeTheTerminator) {
@@ -253,20 +195,6 @@ TEST(Registry, CollectorsAppendBeforeTheTerminator) {
     const auto bridge = text.find("neuro_bridge_total{model=\"m0\"} 42\n");
     ASSERT_NE(bridge, std::string::npos) << text;
     EXPECT_LT(bridge, text.rfind("# EOF\n"));
-}
-
-TEST(Registry, LabeledSeriesExposeWithinOneFamily) {
-    obs::Registry reg;
-    reg.counter("neuro_model_hits", "per-model", "{model=\"a\"}").inc(1);
-    reg.counter("neuro_model_hits", "per-model", "{model=\"b\"}").inc(2);
-    const std::string text = reg.expose();
-    EXPECT_NE(text.find("neuro_model_hits_total{model=\"a\"} 1\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("neuro_model_hits_total{model=\"b\"} 2\n"),
-              std::string::npos);
-    // One family header, two series.
-    EXPECT_EQ(text.find("# TYPE neuro_model_hits_total counter"),
-              text.rfind("# TYPE neuro_model_hits_total counter"));
 }
 
 // ---- FlightRecorder ---------------------------------------------------------

@@ -12,7 +12,7 @@
 //   * registry round-trip, corruption detection, and restart republication,
 //   * replay-pool determinism (same seed => same draws) and reservoir
 //     bounds,
-//   * learner + server + clients running concurrently (TSan-clean in CI).
+//   * learner + router + clients running concurrently (TSan-clean in CI).
 
 #include <gtest/gtest.h>
 
@@ -34,7 +34,7 @@
 #include "online/replay_pool.hpp"
 #include "runtime/compiled_model.hpp"
 #include "runtime/weight_channel.hpp"
-#include "serve/server.hpp"
+#include "serve/router.hpp"
 
 using namespace neuro;
 
@@ -178,27 +178,27 @@ TEST(OnlineServing, NoPublishMeansBitIdenticalServing) {
     for (const auto& s : images.samples)
         expected.push_back(session->predict(s.image));
 
-    // Server under load with a *running learner* that trains on feedback
+    // Router under load with a *running learner* that trains on feedback
     // but never publishes (interval larger than the stream): serving must
     // not see any of it.
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 2;
     opt.batch.max_batch = 4;
     opt.admission.feedback_capacity = 64;
-    serve::Server server(model, opt);
+    serve::ModelRouter router(model, opt);
     online::OnlineOptions oopt;
     oopt.publish_interval = 1'000'000;  // never reached
     oopt.seed = 23;
-    online::OnlineEngine engine(model, server.feedback_queue(), toy_set(2, 9),
+    online::OnlineEngine engine(model, router.feedback_queue(), toy_set(2, 9),
                                 oopt);
-    server.start();
+    router.start();
     engine.start();
 
     for (std::size_t round = 0; round < 2; ++round) {
         std::vector<serve::InferenceHandle> handles;
         for (const auto& s : images.samples) {
-            handles.push_back(server.submit(s.image));
-            server.submit_feedback(s.image, s.label);
+            handles.push_back(router.submit(s.image));
+            router.submit_feedback(s.image, s.label);
         }
         for (std::size_t i = 0; i < handles.size(); ++i) {
             auto r = handles[i].get();
@@ -207,9 +207,9 @@ TEST(OnlineServing, NoPublishMeansBitIdenticalServing) {
         }
     }
     ASSERT_TRUE(eventually([&] { return engine.stats().trained > 0; }));
-    server.shutdown();
+    router.shutdown();
     engine.stop();
-    EXPECT_EQ(server.stats().weight_refreshes, 0u);
+    EXPECT_EQ(router.stats().weight_refreshes, 0u);
     EXPECT_EQ(engine.stats().published, 0u);
 }
 
@@ -218,31 +218,31 @@ TEST(OnlineServing, NoPublishMeansBitIdenticalServing) {
 TEST(OnlineServing, PublishedVersionAdoptedByAllWorkersWithinOneBatch) {
     const auto model = make_model();
     const auto images = toy_set(4, 5);
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 2;
     opt.batch.max_batch = 2;
-    serve::Server server(model, opt);
-    server.start();
+    serve::ModelRouter router(model, opt);
+    router.start();
 
     // Warm the pool, then publish a forced image.
-    for (const auto& s : images.samples) (void)server.submit(s.image).get();
+    for (const auto& s : images.samples) (void)router.submit(s.image).get();
     model->publish_weights(forced_snapshot(*model, 5));
 
     // Every worker adopts at its next batch boundary; keep offering batches
     // until both have. After that, every response must be the forced label.
     ASSERT_TRUE(eventually([&] {
-        (void)server.submit(images.samples[0].image).get();
-        return server.stats().weight_refreshes >= opt.workers;
+        (void)router.submit(images.samples[0].image).get();
+        return router.stats().weight_refreshes >= opt.workers;
     }));
     std::vector<serve::InferenceHandle> handles;
-    for (const auto& s : images.samples) handles.push_back(server.submit(s.image));
+    for (const auto& s : images.samples) handles.push_back(router.submit(s.image));
     for (auto& h : handles) {
         auto r = h.get();
         ASSERT_EQ(r.status, serve::Status::Ok);
         EXPECT_EQ(r.label, 5u);
     }
-    server.shutdown();
-    EXPECT_EQ(server.stats().weight_refreshes, opt.workers);
+    router.shutdown();
+    EXPECT_EQ(router.stats().weight_refreshes, opt.workers);
 }
 
 // ---- shadow-eval gate + rollback + registry ---------------------------------
@@ -471,12 +471,12 @@ TEST(OnlineServing, MalformedFeedbackNeverKillsTheLearner) {
     const auto good = toy_set(2, 63);
 
     // Intake validation: an out-of-range label is dropped at submit time.
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.admission.feedback_capacity = 8;
-    serve::Server server(model, opt);
-    EXPECT_FALSE(server.submit_feedback(good.samples[0].image, kClasses + 3));
-    EXPECT_GE(server.stats().feedback_dropped, 1u);
-    server.shutdown();
+    serve::ModelRouter router(model, opt);
+    EXPECT_FALSE(router.submit_feedback(good.samples[0].image, kClasses + 3));
+    EXPECT_GE(router.stats().feedback_dropped, 1u);
+    router.shutdown();
 
     // Defense in depth: a bad sample pushed into the raw queue (bypassing
     // the intake) is counted and skipped — the learner thread survives and
@@ -501,20 +501,20 @@ TEST(OnlineServing, MalformedFeedbackNeverKillsTheLearner) {
 
 // ---- concurrency (run under TSan in CI) -------------------------------------
 
-TEST(OnlineServing, LearnerAndServerRunConcurrently) {
+TEST(OnlineServing, LearnerAndRouterRunConcurrently) {
     const auto model = make_model();
     const auto images = toy_set(8, 71);
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 2;
     opt.batch.max_batch = 4;
     opt.admission.feedback_capacity = 128;
-    serve::Server server(model, opt);
+    serve::ModelRouter router(model, opt);
     online::OnlineOptions oopt;
     oopt.publish_interval = 16;
     oopt.max_regression = 1.0;  // publish every interval: exercise the swap
-    online::OnlineEngine engine(model, server.feedback_queue(), toy_set(3, 72),
+    online::OnlineEngine engine(model, router.feedback_queue(), toy_set(3, 72),
                                 oopt);
-    server.start();
+    router.start();
     engine.start();
 
     std::atomic<std::size_t> served{0};
@@ -522,7 +522,7 @@ TEST(OnlineServing, LearnerAndServerRunConcurrently) {
     for (int c = 0; c < 2; ++c)
         clients.emplace_back([&] {
             for (std::size_t i = 0; i < 64; ++i) {
-                auto r = server.submit(images.samples[i % images.size()].image)
+                auto r = router.submit(images.samples[i % images.size()].image)
                              .get();
                 if (r.status == serve::Status::Ok) ++served;
             }
@@ -530,12 +530,12 @@ TEST(OnlineServing, LearnerAndServerRunConcurrently) {
     std::thread producer([&] {
         for (std::size_t round = 0; round < 8; ++round)
             for (const auto& s : images.samples)
-                server.submit_feedback(s.image, s.label);
+                router.submit_feedback(s.image, s.label);
     });
     for (auto& t : clients) t.join();
     producer.join();
     ASSERT_TRUE(eventually([&] { return engine.stats().feedback_seen > 0; }));
-    server.shutdown();
+    router.shutdown();
     engine.stop();
 
     EXPECT_EQ(served.load(), 128u);

@@ -26,7 +26,6 @@
 #include "runtime/model_spec.hpp"
 #include "serve/router.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/server.hpp"
 
 using namespace neuro;
 using serve::ModelRouter;
@@ -162,17 +161,17 @@ TEST(Router, UnknownAndInvalidModelsRejectAtIntake) {
     router.shutdown();
 }
 
-TEST(Router, ServerWrapperRejectsFleetNames) {
-    // A plain Server is a fleet of one: addressing any name through its
-    // unified SubmitOptions resolves UnknownModel, not a crash or a hang.
-    serve::ServerOptions opt;
-    serve::Server server(make_model(), opt);
+TEST(Router, DefaultOptionsAreAFleetOfOneThatRejectsNames) {
+    // Default RouterOptions configure a fleet of one: addressing any name
+    // through the unified SubmitOptions resolves UnknownModel, not a crash
+    // or a hang.
+    ModelRouter router(make_model());
     serve::SubmitOptions s;
     s.model = "tenant";
-    auto r = server.submit(make_image(1), s).get();
+    auto r = router.submit(make_image(1), s).get();
     EXPECT_EQ(r.status, serve::Status::Rejected);
     EXPECT_EQ(r.reject, serve::RejectReason::UnknownModel);
-    server.shutdown();
+    router.shutdown();
 }
 
 TEST(Router, LazyLoadMaterializesAtFirstDispatch) {

@@ -1,10 +1,12 @@
-// Contract tests for neuro::serve (the async serving engine):
+// Contract tests for neuro::serve::ModelRouter as a single-model engine
+// (a fleet of one; the multi-model behaviour lives in router_test.cpp):
 //   * micro-batch coalescing semantics (collect_batch),
+//   * configuration validation,
 //   * batched serving bit-identical to sequential Session inference,
 //   * backpressure — Shed rejects deterministically, Block waits,
 //   * drain-on-shutdown completes every accepted request,
 //   * error isolation (a bad request doesn't take the worker down),
-//   * latency-histogram percentile math,
+//   * stats invariants and per-class attribution,
 //   * concurrent submitters (run under TSan in CI).
 
 #include <gtest/gtest.h>
@@ -12,16 +14,18 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/bounded_queue.hpp"
 #include "common/tensor.hpp"
 #include "data/dataset.hpp"
+#include "obs/timer.hpp"
 #include "runtime/compiled_model.hpp"
 #include "serve/request.hpp"
+#include "serve/router.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/server.hpp"
 #include "serve/stats.hpp"
 
 using namespace neuro;
@@ -102,9 +106,22 @@ TEST(Scheduler, ClosedAndDrainedQueueEndsTheLoop) {
     EXPECT_TRUE(out.empty());
 }
 
+// ---- configuration ----------------------------------------------------------
+
+TEST(ModelRouter, RejectsNullModelAndDegenerateOptions) {
+    EXPECT_THROW(serve::ModelRouter(nullptr), std::invalid_argument);
+    const auto model = make_model();
+    serve::RouterOptions no_workers;
+    no_workers.workers = 0;
+    EXPECT_THROW(serve::ModelRouter(model, no_workers), std::invalid_argument);
+    serve::RouterOptions no_batch;
+    no_batch.batch.max_batch = 0;
+    EXPECT_THROW(serve::ModelRouter(model, no_batch), std::invalid_argument);
+}
+
 // ---- determinism ------------------------------------------------------------
 
-TEST(Server, BatchedServingBitIdenticalToSequentialSessions) {
+TEST(ModelRouter, BatchedServingBitIdenticalToSequentialSessions) {
     const auto model = make_model();
     const auto images = make_images(24);
 
@@ -120,18 +137,18 @@ TEST(Server, BatchedServingBitIdenticalToSequentialSessions) {
         std::size_t workers, batch;
     };
     for (const Config cfg : {Config{1, 1}, Config{3, 4}, Config{2, 16}}) {
-        serve::ServerOptions opt;
+        serve::RouterOptions opt;
         opt.workers = cfg.workers;
         opt.queue_capacity = 64;
         opt.batch.max_batch = cfg.batch;
         opt.batch.max_delay_us = 500;
-        serve::Server server(model, opt);
-        server.start();
+        serve::ModelRouter router(model, opt);
+        router.start();
 
         std::vector<serve::InferenceHandle> predicts, counts;
         for (const auto& s : images.samples) {
-            predicts.push_back(server.submit(s.image));
-            counts.push_back(server.submit_counts(s.image));
+            predicts.push_back(router.submit(s.image));
+            counts.push_back(router.submit_counts(s.image));
         }
         for (std::size_t i = 0; i < images.size(); ++i) {
             auto p = predicts[i].get();
@@ -144,8 +161,8 @@ TEST(Server, BatchedServingBitIdenticalToSequentialSessions) {
             ASSERT_EQ(c.status, serve::Status::Ok);
             EXPECT_EQ(c.counts, want_counts[i]);
         }
-        server.shutdown();
-        const auto stats = server.stats();
+        router.shutdown();
+        const auto stats = router.stats();
         EXPECT_EQ(stats.accepted, 2 * images.size());
         EXPECT_EQ(stats.completed, 2 * images.size());
         EXPECT_EQ(stats.rejected, 0u);
@@ -155,18 +172,18 @@ TEST(Server, BatchedServingBitIdenticalToSequentialSessions) {
 
 // ---- backpressure -----------------------------------------------------------
 
-TEST(Server, ShedPolicyRejectsExactlyTheOverflowBeforeStart) {
+TEST(ModelRouter, ShedPolicyRejectsExactlyTheOverflowBeforeStart) {
     const auto model = make_model();
     const auto images = make_images(1);
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 1;
     opt.queue_capacity = 2;
     opt.backpressure = serve::Backpressure::Shed;
-    serve::Server server(model, opt);  // workers idle until start()
+    serve::ModelRouter router(model, opt);  // workers idle until start()
 
     std::vector<serve::InferenceHandle> handles;
     for (int i = 0; i < 5; ++i)
-        handles.push_back(server.submit(images.samples[0].image));
+        handles.push_back(router.submit(images.samples[0].image));
 
     // Queue holds 2: requests 2..4 must already be complete as Rejected,
     // with the intake-specific reason (shed, not head-dropped).
@@ -176,31 +193,31 @@ TEST(Server, ShedPolicyRejectsExactlyTheOverflowBeforeStart) {
         EXPECT_EQ(r.status, serve::Status::Rejected);
         EXPECT_EQ(r.reject, serve::RejectReason::QueueFull);
     }
-    server.shutdown();  // auto-starts and drains the two accepted requests
+    router.shutdown();  // auto-starts and drains the two accepted requests
     for (int i = 0; i < 2; ++i)
         EXPECT_EQ(handles[static_cast<std::size_t>(i)].get().status,
                   serve::Status::Ok);
-    const auto stats = server.stats();
+    const auto stats = router.stats();
     EXPECT_EQ(stats.accepted, 2u);
     EXPECT_EQ(stats.rejected, 3u);
     EXPECT_EQ(stats.completed, 2u);
 }
 
-TEST(Server, BlockPolicyWaitsForSpaceInsteadOfShedding) {
+TEST(ModelRouter, BlockPolicyWaitsForSpaceInsteadOfShedding) {
     const auto model = make_model();
     const auto images = make_images(1);
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 1;
     opt.queue_capacity = 1;
     opt.backpressure = serve::Backpressure::Block;
-    serve::Server server(model, opt);
+    serve::ModelRouter router(model, opt);
 
     std::atomic<int> submitted{0};
     std::vector<serve::InferenceHandle> handles(3);
     std::thread producer([&] {
         for (int i = 0; i < 3; ++i) {
             handles[static_cast<std::size_t>(i)] =
-                server.submit(images.samples[0].image);
+                router.submit(images.samples[0].image);
             submitted.fetch_add(1);
         }
     });
@@ -209,116 +226,88 @@ TEST(Server, BlockPolicyWaitsForSpaceInsteadOfShedding) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     EXPECT_LE(submitted.load(), 1);
 
-    server.start();
+    router.start();
     producer.join();
     EXPECT_EQ(submitted.load(), 3);
     for (auto& h : handles) EXPECT_EQ(h.get().status, serve::Status::Ok);
-    server.shutdown();
-    EXPECT_EQ(server.stats().rejected, 0u);
-    EXPECT_EQ(server.stats().completed, 3u);
+    router.shutdown();
+    EXPECT_EQ(router.stats().rejected, 0u);
+    EXPECT_EQ(router.stats().completed, 3u);
 }
 
 // ---- shutdown ---------------------------------------------------------------
 
-TEST(Server, ShutdownDrainsEveryAcceptedRequest) {
+TEST(ModelRouter, ShutdownDrainsEveryAcceptedRequest) {
     const auto model = make_model();
     const auto images = make_images(4);
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 2;
     opt.queue_capacity = 64;
     opt.batch.max_batch = 8;
-    serve::Server server(model, opt);
+    serve::ModelRouter router(model, opt);
 
     std::vector<serve::InferenceHandle> handles;
     for (int i = 0; i < 20; ++i)
         handles.push_back(
-            server.submit(images.samples[static_cast<std::size_t>(i) % 4].image));
-    server.shutdown();
+            router.submit(images.samples[static_cast<std::size_t>(i) % 4].image));
+    router.shutdown();
     for (auto& h : handles) EXPECT_EQ(h.get().status, serve::Status::Ok);
 
     // After shutdown the intake is closed: immediate rejection.
-    auto late = server.submit(images.samples[0].image);
+    auto late = router.submit(images.samples[0].image);
     ASSERT_TRUE(late.ready());
     auto late_result = late.get();
     EXPECT_EQ(late_result.status, serve::Status::Rejected);
     EXPECT_EQ(late_result.reject, serve::RejectReason::Shutdown);
-    EXPECT_FALSE(server.running());
-    const auto stats = server.stats();
+    EXPECT_FALSE(router.running());
+    const auto stats = router.stats();
     EXPECT_EQ(stats.completed, 20u);
     EXPECT_EQ(stats.rejected, 1u);
     // shutdown() twice is harmless.
-    server.shutdown();
+    router.shutdown();
 }
 
 // ---- error isolation --------------------------------------------------------
 
-TEST(Server, BadRequestCompletesWithErrorAndWorkerSurvives) {
+TEST(ModelRouter, BadRequestCompletesWithErrorAndWorkerSurvives) {
     const auto model = make_model();
     const auto images = make_images(1);
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 1;
-    serve::Server server(model, opt);
-    server.start();
+    serve::ModelRouter router(model, opt);
+    router.start();
 
     common::Tensor wrong_size({3});  // backend throws invalid_argument
-    auto bad = server.submit(wrong_size);
-    auto good = server.submit(images.samples[0].image);
+    auto bad = router.submit(wrong_size);
+    auto good = router.submit(images.samples[0].image);
     const auto bad_result = bad.get();
     EXPECT_EQ(bad_result.status, serve::Status::Error);
     EXPECT_FALSE(bad_result.error.empty());
     EXPECT_EQ(good.get().status, serve::Status::Ok);
-    server.shutdown();
-    const auto stats = server.stats();
+    router.shutdown();
+    const auto stats = router.stats();
     EXPECT_EQ(stats.errors, 1u);
     EXPECT_EQ(stats.completed, 1u);
 }
 
 // ---- stats ------------------------------------------------------------------
 
-TEST(LatencyHistogram, PercentilesAreMonotoneAndTight) {
-    serve::LatencyHistogram h;
-    for (int us = 1; us <= 1000; ++us) h.record(static_cast<double>(us));
-    EXPECT_EQ(h.count(), 1000u);
-    EXPECT_DOUBLE_EQ(h.max_us(), 1000.0);
-    EXPECT_NEAR(h.mean_us(), 500.5, 1e-9);
-    const double p50 = h.percentile(0.50);
-    const double p95 = h.percentile(0.95);
-    const double p99 = h.percentile(0.99);
-    EXPECT_LE(p50, p95);
-    EXPECT_LE(p95, p99);
-    EXPECT_LE(p99, h.max_us());
-    // Upper-edge estimates err high by at most one sub-bucket (~6%).
-    EXPECT_GE(p50, 500.0);
-    EXPECT_LE(p50, 540.0);
-    EXPECT_GE(p99, 990.0);
-    // p100 clamps to the observed maximum.
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 1000.0);
-}
-
-TEST(LatencyHistogram, EmptyAndSubMicrosecond) {
-    serve::LatencyHistogram h;
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    h.record(0.25);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_LE(h.percentile(0.5), 1.0);
-}
-
-TEST(Server, StatsInvariantsAfterLoad) {
+TEST(ModelRouter, StatsInvariantsAfterLoad) {
     const auto model = make_model();
     const auto images = make_images(8);
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 2;
     opt.batch.max_batch = 4;
-    serve::Server server(model, opt);
-    server.start();
+    serve::ModelRouter router(model, opt);
+    router.start();
     std::vector<serve::InferenceHandle> handles;
     for (int i = 0; i < 32; ++i)
         handles.push_back(
-            server.submit(images.samples[static_cast<std::size_t>(i) % 8].image));
+            router.submit(images.samples[static_cast<std::size_t>(i) % 8].image));
     for (auto& h : handles) (void)h.get();
-    server.shutdown();
+    router.shutdown();
 
-    const auto s = server.stats();
+    const auto s = router.stats();
     EXPECT_EQ(s.completed, 32u);
     EXPECT_GE(s.batches, 32u / opt.batch.max_batch);
     EXPECT_GE(s.mean_batch, 1.0);
@@ -351,28 +340,28 @@ TEST(Server, StatsInvariantsAfterLoad) {
 
 // Per-class accounting: one request per class (feedback via its own
 // intake), each attributed to the right AdmissionCounters slot.
-TEST(Server, StatsAttributeAcceptsToTheSubmittedClass) {
+TEST(ModelRouter, StatsAttributeAcceptsToTheSubmittedClass) {
     const auto model = make_model();
     const auto images = make_images(3);
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 1;
     opt.admission.feedback_capacity = 4;
-    serve::Server server(model, opt);
-    server.start();
+    serve::ModelRouter router(model, opt);
+    router.start();
 
     serve::SubmitOptions interactive;  // default class
     serve::SubmitOptions batch;
     batch.priority = serve::Priority::Batch;
-    auto r0 = server.submit(images.samples[0].image, interactive).get();
-    auto r1 = server.submit(images.samples[1].image, batch).get();
-    ASSERT_TRUE(server.submit_feedback(images.samples[2].image, 1));
+    auto r0 = router.submit(images.samples[0].image, interactive).get();
+    auto r1 = router.submit(images.samples[1].image, batch).get();
+    ASSERT_TRUE(router.submit_feedback(images.samples[2].image, 1));
     EXPECT_EQ(r0.status, serve::Status::Ok);
     EXPECT_EQ(r0.priority, serve::Priority::Interactive);
     EXPECT_EQ(r1.status, serve::Status::Ok);
     EXPECT_EQ(r1.priority, serve::Priority::Batch);
-    server.shutdown();
+    router.shutdown();
 
-    const auto s = server.stats();
+    const auto s = router.stats();
     constexpr auto kI = static_cast<std::size_t>(serve::Priority::Interactive);
     constexpr auto kB = static_cast<std::size_t>(serve::Priority::Batch);
     constexpr auto kF = static_cast<std::size_t>(serve::Priority::Feedback);
@@ -383,22 +372,47 @@ TEST(Server, StatsAttributeAcceptsToTheSubmittedClass) {
     EXPECT_EQ(s.feedback_dropped, 0u);
 }
 
+// ---- tracing ----------------------------------------------------------------
+
+TEST(ModelRouter, TracedRequestOnAShardedModelReportsKernelTime) {
+#ifdef NEURO_OBS_NO_TIMERS
+    GTEST_SKIP() << "kernel timers compiled out";
+#endif
+    runtime::ModelSpec spec;
+    spec.input(1, 12, 12).hidden_layers({40}).output_classes(10).with_shards(2);
+    const auto model = runtime::CompiledModel::compile(
+        spec, runtime::BackendKind::ShardedLoihiSim);
+    serve::RouterOptions opt;
+    opt.workers = 1;
+    serve::ModelRouter router(model, opt);
+    router.start();
+    serve::SubmitOptions traced;
+    traced.trace = true;
+    obs::set_timing(true);
+    const auto r = router.submit(make_images(1).samples[0].image, traced).get();
+    obs::set_timing(false);
+    router.shutdown();
+    ASSERT_EQ(r.status, serve::Status::Ok);
+    ASSERT_TRUE(r.trace.enabled);
+    EXPECT_GT(r.trace.kernel_sweep_ns, 0u);
+}
+
 // ---- concurrency (run under TSan in CI) -------------------------------------
 
-TEST(Server, ConcurrentSubmittersAllCompleteCorrectly) {
+TEST(ModelRouter, ConcurrentSubmittersAllCompleteCorrectly) {
     const auto model = make_model();
     const auto images = make_images(6);
     auto ref = model->open_session();
     std::vector<std::size_t> want;
     for (const auto& s : images.samples) want.push_back(ref->predict(s.image));
 
-    serve::ServerOptions opt;
+    serve::RouterOptions opt;
     opt.workers = 2;
     opt.queue_capacity = 16;
     opt.batch.max_batch = 4;
     opt.batch.max_delay_us = 200;
-    serve::Server server(model, opt);
-    server.start();
+    serve::ModelRouter router(model, opt);
+    router.start();
 
     constexpr int kThreads = 4, kPerThread = 25;
     std::atomic<int> mismatches{0};
@@ -408,16 +422,16 @@ TEST(Server, ConcurrentSubmittersAllCompleteCorrectly) {
             for (int i = 0; i < kPerThread; ++i) {
                 const auto idx =
                     static_cast<std::size_t>(t * kPerThread + i) % images.size();
-                auto r = server.submit(images.samples[idx].image).get();
+                auto r = router.submit(images.samples[idx].image).get();
                 if (r.status != serve::Status::Ok || r.label != want[idx])
                     mismatches.fetch_add(1);
             }
         });
     for (auto& t : submitters) t.join();
-    server.shutdown();
+    router.shutdown();
 
     EXPECT_EQ(mismatches.load(), 0);
-    const auto stats = server.stats();
+    const auto stats = router.stats();
     EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kThreads * kPerThread));
     EXPECT_EQ(stats.completed,
               static_cast<std::uint64_t>(kThreads * kPerThread));

@@ -15,6 +15,7 @@
 #include "core/sharded_network.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
+#include "obs/timer.hpp"
 #include "runtime/backend.hpp"
 #include "runtime/compiled_model.hpp"
 #include "runtime/sharded_backend.hpp"
@@ -338,6 +339,31 @@ TEST(ShardedExecution, ShardedBackendKeepsSessionApi) {
         core::measure_energy(*session, probe, 4, false, loihi::EnergyModelParams{});
     EXPECT_GT(report.fps, 0.0);
     EXPECT_GT(report.cores, 0u);
+}
+
+TEST(ShardedExecution, KernelPhasesSumTheShards) {
+#ifdef NEURO_OBS_NO_TIMERS
+    GTEST_SKIP() << "kernel timers compiled out";
+#endif
+    const auto model = runtime::CompiledModel::compile(
+        sharded_spec(2), runtime::BackendKind::ShardedLoihiSim);
+    auto session = model->open_session();
+    obs::set_timing(true);
+    (void)session->predict(digits(1).samples[0].image);
+    obs::set_timing(false);
+
+    const loihi::KernelPhaseTimes* phases = session->kernel_phases();
+    ASSERT_NE(phases, nullptr);
+    EXPECT_GT(phases->sweep_ns, 0u);
+    const auto& chips = session->native_sharded_network()->chips();
+    ASSERT_EQ(chips.num_shards(), 2u);
+    loihi::KernelPhaseTimes sum;
+    for (std::size_t i = 0; i < chips.num_shards(); ++i) {
+        sum.sweep_ns += chips.shard(i).kernel_phase_times().sweep_ns;
+        sum.accum_ns += chips.shard(i).kernel_phase_times().accum_ns;
+    }
+    EXPECT_EQ(phases->sweep_ns, sum.sweep_ns);
+    EXPECT_EQ(phases->accum_ns, sum.accum_ns);
 }
 
 TEST(ShardedExecution, AutoPlanOnSmallModelDegeneratesToSingleChipPath) {
