@@ -8,11 +8,10 @@
 //              phase is measured in isolation from the sweep)
 //
 // Rows compare the scalar reference kernels against the SIMD lane kernels
-// (Chip::set_vector_sweep) on the same network; the sparse active-set row
-// rides along for context. Before timing anything the bench verifies that
-// all four sweep-mode combinations produce bit-identical spike counts and
-// ActivityTotals on an active workload — a perf number for a kernel that
-// drifted semantically would be meaningless.
+// (Chip::set_vector_sweep) on the same network. Before timing anything the
+// bench verifies that both kernel modes produce bit-identical spike counts
+// and ActivityTotals on an active workload — a perf number for a kernel
+// that drifted semantically would be meaningless.
 //
 // CI gates the simd row of both phases via
 // tools/check_bench_regression.py --only micro_chip (lower is better,
@@ -85,24 +84,21 @@ struct PhaseResult {
 };
 
 PhaseResult measure_once(std::size_t n, std::size_t steps, std::size_t spikes,
-                         bool sparse, bool simd) {
+                         bool simd) {
     Chip chip = make_chip(n);
-    chip.set_sparse_sweep(sparse);
     chip.set_vector_sweep(simd);
 
     PhaseResult out;
 
     // ---- sweep phase: quiet chip, pure membrane pass ----------------------
-    chip.run(steps / 4);  // warm caches and settle the sparse active list
+    chip.run(steps / 4);  // warm caches
     chip.reset_activity();
     const auto t0 = std::chrono::steady_clock::now();
     chip.run(steps);
     const double sweep_s = seconds_since(t0);
     const auto& a1 = chip.activity();
-    // compartment_updates counts every eligible compartment per step in all
-    // modes (the sparse sweep accounts skipped units in bulk), so the
-    // denominator is mode-invariant and the sparse row's ns-per-accounted-
-    // compartment shows exactly what the active-set skip buys.
+    // compartment_updates counts every eligible compartment per step in
+    // both modes, so the denominator is mode-invariant.
     out.sweep_ns_per_compartment =
         a1.compartment_updates == 0
             ? 0.0
@@ -132,10 +128,10 @@ PhaseResult measure_once(std::size_t n, std::size_t steps, std::size_t spikes,
 /// runners are shared machines, and the gate compares per-phase *ratios*,
 /// which a single preempted rep would skew by 2x or more).
 PhaseResult measure(std::size_t n, std::size_t steps, std::size_t spikes,
-                    std::size_t reps, bool sparse, bool simd) {
-    PhaseResult best = measure_once(n, steps, spikes, sparse, simd);
+                    std::size_t reps, bool simd) {
+    PhaseResult best = measure_once(n, steps, spikes, simd);
     for (std::size_t r = 1; r < reps; ++r) {
-        const PhaseResult cur = measure_once(n, steps, spikes, sparse, simd);
+        const PhaseResult cur = measure_once(n, steps, spikes, simd);
         best.sweep_ns_per_compartment =
             std::min(best.sweep_ns_per_compartment, cur.sweep_ns_per_compartment);
         best.accum_ns_per_event =
@@ -144,9 +140,9 @@ PhaseResult measure(std::size_t n, std::size_t steps, std::size_t spikes,
     return best;
 }
 
-/// Bit-identity cross-check of all four sweep modes on an active workload:
+/// Bit-identity cross-check of the two kernel modes on an active workload:
 /// biases drive the sources, spikes cascade through the projection. Returns
-/// false (and prints the discrepancy) if any mode diverges.
+/// false (and prints the discrepancy) if the SIMD mode diverges.
 bool verify_modes(std::size_t steps) {
     struct Snapshot {
         std::vector<std::int32_t> src_counts, dst_counts;
@@ -154,25 +150,21 @@ bool verify_modes(std::size_t steps) {
     };
     std::vector<Snapshot> snaps;
     std::vector<std::string> names;
-    for (const bool sparse : {false, true}) {
-        for (const bool simd : {false, true}) {
-            Chip chip = make_chip(256);
-            chip.set_sparse_sweep(sparse);
-            chip.set_vector_sweep(simd);
-            std::vector<std::int32_t> bias(256);
-            common::Rng rng(7);
-            for (auto& b : bias)
-                b = static_cast<std::int32_t>(rng.uniform_int(0, 48));
-            chip.set_bias(0, bias);
-            chip.run(steps);
-            Snapshot s;
-            s.src_counts = chip.spike_counts_total(0);
-            s.dst_counts = chip.spike_counts_total(1);
-            s.totals = chip.activity();
-            snaps.push_back(std::move(s));
-            names.push_back(std::string(sparse ? "sparse" : "dense") + "+" +
-                            (simd ? "simd" : "scalar"));
-        }
+    for (const bool simd : {false, true}) {
+        Chip chip = make_chip(256);
+        chip.set_vector_sweep(simd);
+        std::vector<std::int32_t> bias(256);
+        common::Rng rng(7);
+        for (auto& b : bias)
+            b = static_cast<std::int32_t>(rng.uniform_int(0, 48));
+        chip.set_bias(0, bias);
+        chip.run(steps);
+        Snapshot s;
+        s.src_counts = chip.spike_counts_total(0);
+        s.dst_counts = chip.spike_counts_total(1);
+        s.totals = chip.activity();
+        snaps.push_back(std::move(s));
+        names.push_back(simd ? "simd" : "scalar");
     }
     for (std::size_t i = 1; i < snaps.size(); ++i) {
         const auto& a = snaps[0];
@@ -220,7 +212,7 @@ int main(int argc, char** argv) {
             " sweep steps, " + std::to_string(spikes) + " inserted spikes");
 
     if (!verify_modes(64)) return 1;
-    std::printf("bit-identity across dense/sparse x scalar/simd: ok\n\n");
+    std::printf("bit-identity across scalar/simd: ok\n\n");
 
     common::Table table({"config", "sweep ns/comp", "accum ns/event",
                          "spikes", "synaptic events"});
@@ -231,16 +223,14 @@ int main(int argc, char** argv) {
 
     struct Mode {
         const char* name;
-        bool sparse;
         bool simd;
     };
     const Mode modes[] = {
-        {"dense, scalar", false, false},
-        {"dense, simd", false, true},
-        {"sparse, simd", true, true},
+        {"dense, scalar", false},
+        {"dense, simd", true},
     };
     for (const Mode& m : modes) {
-        const PhaseResult r = measure(n, steps, spikes, reps, m.sparse, m.simd);
+        const PhaseResult r = measure(n, steps, spikes, reps, m.simd);
         table.add_row(
             {m.name, common::Table::fmt(r.sweep_ns_per_compartment, 3),
              common::Table::fmt(r.accum_ns_per_event, 3),
@@ -258,7 +248,6 @@ int main(int argc, char** argv) {
 
     bench::footnote(
         "CI gates the simd row of both phases (lower is better, normalized "
-        "by the same-run scalar row); the sparse row is context only — its "
-        "win depends on workload quiescence, not kernel layout.");
+        "by the same-run scalar row).");
     return 0;
 }

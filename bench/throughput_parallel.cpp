@@ -2,12 +2,12 @@
 // online trainer (not a paper figure — this gates the scaling work of the
 // ROADMAP north star).
 //
-// Three questions, answered on the synthetic-digits workload:
-//   1. What does the sparse active-set step loop buy over the dense
-//      reference sweep for the serial trainer?
-//   2. How does ParallelTrainer's samples/sec scale with worker threads?
-//   3. Does the batched path stay bit-identical across thread counts while
+// Two questions, answered on the synthetic-digits workload:
+//   1. How does ParallelTrainer's samples/sec scale with worker threads,
+//      against the serial online trainer?
+//   2. Does the batched path stay bit-identical across thread counts while
 //      doing so (spot-checked here; proven in parallel_trainer_test)?
+// A last section sweeps runtime-session inference serving.
 //
 // Note the speedup ceiling is min(threads, hardware cores): on a 1-core
 // container the thread sweep measures overhead, not scaling.
@@ -26,7 +26,6 @@
 #include "core/parallel_trainer.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
-#include "loihi/chip.hpp"
 #include "runtime/loihi_backend.hpp"
 
 using namespace neuro;
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
         std::max(8u, std::thread::hardware_concurrency())));
 
     bench::banner(
-        "Training throughput — replicated chips + sparse step loop",
+        "Training throughput — replicated chips + session serving",
         "scaling engineering on top of Operation Flow 1 (no paper figure)",
         std::to_string(samples) + " samples/epoch, " + std::to_string(side) +
             "x" + std::to_string(side) + " digits, dense stack 100-10, batch " +
@@ -72,8 +71,8 @@ int main(int argc, char** argv) {
     gen.width = side;
     const auto train = data::make_digits(gen);
 
-    common::Table table({"configuration", "samples/sec", "vs serial dense",
-                         "vs serial sparse"});
+    common::Table table(
+        {"configuration", "samples/sec", "speedup", "session open"});
     common::CsvWriter csv(bench::kCsvDir, "throughput_parallel",
                           {"config", "threads", "samples_per_sec"});
     bench::JsonWriter json(bench::kCsvDir, "throughput_parallel",
@@ -84,24 +83,19 @@ int main(int argc, char** argv) {
         json.add_row({config, std::to_string(threads), std::to_string(rate)});
     };
 
-    // ---- serial baselines: dense sweep, then sparse sweep ------------------
-    double serial_dense = 0.0;
-    double serial_sparse = 0.0;
-    for (const bool sparse : {false, true}) {
+    // ---- serial baseline: the online trainer -------------------------------
+    double serial = 0.0;
+    {
         auto net = make_net(side, 7);
-        net.chip().set_sparse_sweep(sparse);
         common::Rng rng(42);
         const auto t0 = std::chrono::steady_clock::now();
         core::train_epoch(net, train, rng);
-        const double rate = static_cast<double>(train.size()) / seconds_since(t0);
-        (sparse ? serial_sparse : serial_dense) = rate;
-        const std::string name =
-            sparse ? "serial, sparse sweep" : "serial, dense sweep";
-        table.add_row({name, common::Table::fmt(rate, 1),
-                       common::Table::fmt(rate / serial_dense, 2) + "x",
-                       sparse ? "1.00x" : "-"});
-        record(name, 1, rate);
-        std::printf("%-28s %8.1f samples/sec\n", name.c_str(), rate);
+        serial = static_cast<double>(train.size()) / seconds_since(t0);
+        const std::string name = "serial, dense sweep";
+        table.add_row({name, common::Table::fmt(serial, 1),
+                       "1.00x vs serial", "-"});
+        record(name, 1, serial);
+        std::printf("%-28s %8.1f samples/sec\n", name.c_str(), serial);
         std::fflush(stdout);
     }
 
@@ -127,71 +121,13 @@ int main(int argc, char** argv) {
                                  (threads == 1 ? "" : "s");
         table.add_row({name + (identical ? "" : "  [WEIGHTS DIVERGED]"),
                        common::Table::fmt(rate, 1),
-                       common::Table::fmt(rate / serial_dense, 2) + "x",
-                       common::Table::fmt(rate / serial_sparse, 2) + "x"});
+                       common::Table::fmt(rate / serial, 2) +
+                           "x vs serial",
+                       "-"});
         record(name, threads, rate);
         std::printf("%-28s %8.1f samples/sec%s\n", name.c_str(), rate,
                     identical ? "" : "  [WEIGHTS DIVERGED]");
         std::fflush(stdout);
-    }
-
-    // ---- sparse sweep on a large, quiet chip -------------------------------
-    // The digits workload above is delivery-dominated (dense projections:
-    // every input spike fans out to the whole hidden layer), so the sweep
-    // strategy barely shows. This section isolates the sweep term: a
-    // 16k-compartment chip with 2% of neurons driven and 8-synapse fanout —
-    // the regime of event-driven workloads — where the dense sweep pays
-    // O(compartments) per step and the active list pays O(traffic).
-    {
-        const auto make_quiet = [](bool sparse) {
-            loihi::Chip chip;
-            loihi::PopulationConfig src;
-            src.name = "src";
-            src.size = 8192;
-            src.compartment.vth = 64;
-            const auto s = chip.add_population(src);
-            loihi::PopulationConfig dst;
-            dst.name = "dst";
-            dst.size = 8192;
-            dst.compartment.vth = 256;
-            chip.add_population(dst);
-            common::Rng rng(99);
-            std::vector<loihi::Synapse> syns;
-            syns.reserve(8192 * 8);
-            for (std::uint32_t i = 0; i < 8192; ++i)
-                for (int k = 0; k < 8; ++k)
-                    syns.push_back(
-                        {i,
-                         static_cast<std::uint32_t>(rng.uniform_int(0, 8191)),
-                         static_cast<std::int32_t>(rng.uniform_int(-64, 64))});
-            loihi::ProjectionConfig pr;
-            pr.name = "p";
-            pr.src = s;
-            pr.dst = 1;
-            chip.add_projection(pr, std::move(syns));
-            chip.finalize();
-            chip.set_sparse_sweep(sparse);
-            std::vector<std::int32_t> bias(8192, 0);
-            for (auto& b : bias)
-                if (rng.bernoulli(0.02)) b = 20;
-            chip.set_bias(s, bias);
-            return chip;
-        };
-        double dense_rate = 0.0;
-        for (const bool sparse : {false, true}) {
-            auto chip = make_quiet(sparse);
-            const auto t0 = std::chrono::steady_clock::now();
-            chip.run(1000);
-            const double rate = 1000.0 / seconds_since(t0);
-            if (!sparse) dense_rate = rate;
-            const std::string name = sparse ? "quiet 16k-comp chip, sparse"
-                                            : "quiet 16k-comp chip, dense";
-            table.add_row({name, common::Table::fmt(rate, 0) + " steps/s",
-                           common::Table::fmt(rate / dense_rate, 2) + "x", "-"});
-            record(name, 1, rate);
-            std::printf("%-28s %8.0f steps/sec\n", name.c_str(), rate);
-            std::fflush(stdout);
-        }
     }
 
     // ---- inference serving: runtime sessions over one CompiledModel --------
@@ -227,7 +163,7 @@ int main(int argc, char** argv) {
                                      " session" + (threads == 1 ? "" : "s");
             table.add_row({name, common::Table::fmt(rate, 1),
                            common::Table::fmt(rate / serve_1, 2) + "x vs 1",
-                           common::Table::fmt(open_ms, 2) + " ms open"});
+                           common::Table::fmt(open_ms, 2) + " ms"});
             record(name, threads, rate);
             std::printf("%-28s %8.1f predictions/sec (%.2f ms to open)\n",
                         name.c_str(), rate, open_ms);

@@ -294,20 +294,20 @@ class GateTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("accum_ns_per_event regressed", out)
 
-    def test_micro_chip_sparse_context_row_is_not_gated(self):
-        # The results carry a "sparse, simd" context row; the committed
-        # baseline omits it, so even absurd values there must not gate.
+    def test_micro_chip_row_absent_from_baseline_is_not_gated(self):
+        # A results row the committed baseline omits (a context row) must
+        # not gate, even with absurd values.
         self.write(self.baselines, "micro_chip",
                    self.micro_chip_rows(10.0, 2.0, 1.0, 0.4))
         cur = self.micro_chip_rows(10.0, 2.0, 1.0, 0.4)
-        cur.append({"config": "sparse, simd",
+        cur.append({"config": "context, simd",
                     "sweep_ns_per_compartment": 99999.0,
                     "accum_ns_per_event": 99999.0,
                     "spikes_delivered": 2048, "synaptic_events": 524288})
         self.write(self.results, "micro_chip", cur)
         code, out = self.run_gate()
         self.assertEqual(code, 0, out)
-        self.assertNotIn("sparse", out)
+        self.assertNotIn("context", out)
 
     # ---- tracing tax (serving_trace per-rule tolerance) ----------------------
 

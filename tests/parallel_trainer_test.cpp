@@ -1,11 +1,12 @@
-// Tests for the data-parallel batched training engine and the sparse
-// active-set step loop it leans on:
+// Tests for the data-parallel batched training engine and the chip step
+// loop it leans on:
 //   * a 1-thread / batch-1 ParallelTrainer is bit-identical to the serial
 //     core::train_epoch,
 //   * batched results are independent of the thread count given fixed
 //     seeds (the determinism contract of docs/ARCHITECTURE.md §4),
-//   * the sparse sweep leaves every ActivityTotals counter — and the
-//     trained weights — exactly equal to the dense reference sweep.
+//   * on a full EmstdpNetwork the SIMD lane kernels leave predictions,
+//     every ActivityTotals counter and the trained weights exactly equal
+//     to the scalar reference kernels.
 
 #include <gtest/gtest.h>
 
@@ -213,7 +214,7 @@ TEST(ParallelTrainer, BatchedTrainingStillLearnsTheToyTask) {
     EXPECT_GT(trainer.evaluate(stream), 0.7);
 }
 
-// ---- sparse step loop -------------------------------------------------------
+// ---- SIMD == scalar step loop -----------------------------------------------
 
 namespace {
 
@@ -227,59 +228,61 @@ void expect_activity_equal(const loihi::ActivityTotals& a,
     EXPECT_EQ(a.host_io_writes, b.host_io_writes);
 }
 
-void run_sparse_dense_parity(EmstdpOptions opt) {
-    EmstdpNetwork sparse_net = make_net(opt);
-    EmstdpNetwork dense_net = make_net(opt);
-    ASSERT_TRUE(sparse_net.chip().sparse_sweep());
-    dense_net.chip().set_sparse_sweep(false);
+void run_simd_scalar_parity(EmstdpOptions opt) {
+    EmstdpNetwork simd_net = make_net(opt);
+    EmstdpNetwork scalar_net = make_net(opt);
+    ASSERT_TRUE(simd_net.chip().vector_sweep());
+    scalar_net.chip().set_vector_sweep(false);
 
     const auto stream = toy_stream(10, 21);
     for (const auto& s : stream.samples) {
-        sparse_net.train_sample(s.image, s.label);
-        dense_net.train_sample(s.image, s.label);
+        simd_net.train_sample(s.image, s.label);
+        scalar_net.train_sample(s.image, s.label);
     }
     // Interleave inference (exercises clear_bias / predict resets too).
     for (const auto& s : stream.samples)
-        EXPECT_EQ(sparse_net.predict(s.image), dense_net.predict(s.image));
+        EXPECT_EQ(simd_net.predict(s.image), scalar_net.predict(s.image));
 
-    expect_activity_equal(sparse_net.chip().activity(),
-                          dense_net.chip().activity());
-    EXPECT_EQ(sparse_net.plastic_weights(), dense_net.plastic_weights());
+    expect_activity_equal(simd_net.chip().activity(),
+                          scalar_net.chip().activity());
+    EXPECT_EQ(simd_net.plastic_weights(), scalar_net.plastic_weights());
 }
 
 }  // namespace
 
-TEST(SparseStep, ActivityCountersExactVsDenseSweep) {
-    run_sparse_dense_parity(small_options());
+TEST(VectorSweep, ActivityCountersExactVsScalarKernels) {
+    run_simd_scalar_parity(small_options());
 }
 
-TEST(SparseStep, ExactWithDecayingTracesAndFA) {
+TEST(VectorSweep, ExactWithDecayingTracesAndFA) {
     // hw_trace_approx adds per-step decaying traces (shared-RNG order
     // matters); FA adds AND-gated aux compartments and the error chain.
     auto opt = small_options();
     opt.hw_trace_approx = true;
     opt.feedback = FeedbackMode::FA;
-    run_sparse_dense_parity(opt);
+    run_simd_scalar_parity(opt);
 }
 
-TEST(SparseStep, ExactUnderFaultsAndThresholdVariation) {
+TEST(VectorSweep, ExactUnderFaultsAndThresholdVariation) {
+    // A dead unit sends its population down the scalar fallback in both
+    // modes; the offsets exercise the precomputed effective-threshold lane.
     auto opt = small_options();
-    EmstdpNetwork sparse_net = make_net(opt);
-    EmstdpNetwork dense_net = make_net(opt);
-    dense_net.chip().set_sparse_sweep(false);
-    for (auto* net : {&sparse_net, &dense_net}) {
+    EmstdpNetwork simd_net = make_net(opt);
+    EmstdpNetwork scalar_net = make_net(opt);
+    scalar_net.chip().set_vector_sweep(false);
+    for (auto* net : {&simd_net, &scalar_net}) {
         net->chip().set_compartment_dead(net->input_pop(), 3, true);
         net->chip().set_threshold_offset(net->output_pop(), 1, -40);
         net->chip().set_threshold_offset(net->hidden_pops()[0], 2, 25);
     }
     const auto stream = toy_stream(6, 33);
     for (const auto& s : stream.samples) {
-        sparse_net.train_sample(s.image, s.label);
-        dense_net.train_sample(s.image, s.label);
+        simd_net.train_sample(s.image, s.label);
+        scalar_net.train_sample(s.image, s.label);
     }
-    expect_activity_equal(sparse_net.chip().activity(),
-                          dense_net.chip().activity());
-    EXPECT_EQ(sparse_net.plastic_weights(), dense_net.plastic_weights());
+    expect_activity_equal(simd_net.chip().activity(),
+                          scalar_net.chip().activity());
+    EXPECT_EQ(simd_net.plastic_weights(), scalar_net.plastic_weights());
 }
 
 // ---- post-finalize weight programming --------------------------------------
