@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "data/encode.hpp"
 #include "snn/topology.hpp"
@@ -103,13 +104,14 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
                              const snn::ConvertedStack* conv,
                              std::vector<std::size_t> hidden, std::size_t classes)
     : opt_(opt),
-      chip_([&] {
+      substrate_(std::in_place_type<loihi::Chip>, [&] {
           loihi::ChipLimits limits;
           limits.weight_bits = opt.weight_bits;
           return limits;
       }()),
       classes_(classes) {
     if (classes_ == 0) throw std::invalid_argument("EmstdpNetwork: zero classes");
+    loihi::Chip& chip = std::get<loihi::Chip>(substrate_);
     const std::int32_t T = opt_.phase_length;
     const std::size_t pixels = in_c * in_h * in_w;
     input_size_ = pixels;
@@ -117,7 +119,7 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         std::lround(opt_.target_rate * static_cast<float>(T)));
     class_mask_.assign(classes_, true);
     common::Rng rng(opt_.seed);
-    chip_.seed_learning_noise(rng.next_u64() | 1);
+    chip.seed_learning_noise(rng.next_u64() | 1);
 
     // ---- forward path -------------------------------------------------------
     {
@@ -125,7 +127,7 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         pc.name = "input";
         pc.size = pixels;
         pc.compartment = forward_cfg(T, opt_, JoinOp::None);
-        input_ = chip_.add_population(pc);
+        input_ = chip.add_population(pc);
     }
 
     std::size_t feature_size = pixels;
@@ -138,13 +140,13 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         c1.name = "conv1";
         c1.size = conv->conv1.spec.out_size();
         c1.compartment = forward_cfg(conv->conv1.vth, opt_, JoinOp::None);
-        conv1_ = chip_.add_population(c1);
+        conv1_ = chip.add_population(c1);
 
         PopulationConfig c2;
         c2.name = "conv2";
         c2.size = conv->conv2.spec.out_size();
         c2.compartment = forward_cfg(conv->conv2.vth, opt_, JoinOp::None);
-        conv2_ = chip_.add_population(c2);
+        conv2_ = chip.add_population(c2);
 
         feature_ = *conv2_;
         feature_size = c2.size;
@@ -162,7 +164,7 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
             opt_.theta_dense, opt_,
             dfa && opt_.derivative_gating ? JoinOp::GatedAdd : JoinOp::None);
         pc.neurons_per_core = opt_.neurons_per_core;
-        hidden_pops_.push_back(chip_.add_population(pc));
+        hidden_pops_.push_back(chip.add_population(pc));
     }
     {
         PopulationConfig pc;
@@ -170,7 +172,7 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         pc.size = classes_;
         pc.compartment = forward_cfg(opt_.theta_dense, opt_, JoinOp::None);
         pc.neurons_per_core = opt_.neurons_per_core;
-        output_ = chip_.add_population(pc);
+        output_ = chip.add_population(pc);
     }
 
     // ---- plastic dense projections -------------------------------------------
@@ -211,7 +213,7 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         prc.rule = rule;
         prc.stochastic_rounding = opt_.stochastic_rounding;
         plastic_.push_back(
-            chip_.add_projection(prc, snn::dense_synapses(in, out, w)));
+            chip.add_projection(prc, snn::dense_synapses(in, out, w)));
     }
 
     // ---- frozen conv projections ---------------------------------------------
@@ -220,13 +222,13 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         p1.name = "conv1";
         p1.src = input_;
         p1.dst = *conv1_;
-        chip_.add_projection(p1, snn::conv_synapses(conv->conv1.spec,
+        chip.add_projection(p1, snn::conv_synapses(conv->conv1.spec,
                                                     conv->conv1.weights));
         ProjectionConfig p2;
         p2.name = "conv2";
         p2.src = *conv1_;
         p2.dst = *conv2_;
-        chip_.add_projection(p2, snn::conv_synapses(conv->conv2.spec,
+        chip.add_projection(p2, snn::conv_synapses(conv->conv2.spec,
                                                     conv->conv2.weights));
     }
 
@@ -238,7 +240,7 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
             pc.size = classes_;
             pc.compartment = forward_cfg(T, opt_, JoinOp::None);
             pc.compartment.active_in_phase1 = false;
-            label_ = chip_.add_population(pc);
+            label_ = chip.add_population(pc);
         }
         {
             PopulationConfig pc;
@@ -246,9 +248,9 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
             pc.size = classes_;
             pc.compartment = error_cfg(opt_.theta_err, /*gated=*/false);
             pc.neurons_per_core = opt_.neurons_per_core;
-            out_err_pos_ = chip_.add_population(pc);
+            out_err_pos_ = chip.add_population(pc);
             pc.name = "out_err-";
-            out_err_neg_ = chip_.add_population(pc);
+            out_err_neg_ = chip.add_population(pc);
         }
 
         const auto unit = loihi::encode_weight(opt_.theta_err, opt_.weight_bits);
@@ -261,8 +263,8 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
             pc.dst = dst;
             pc.port = port;
             pc.weight_exp = exp;
-            feedback_projections_.push_back(chip_.add_projection(
-                pc, snn::identity_synapses(chip_.population_size(src), w)));
+            feedback_projections_.push_back(chip.add_projection(
+                pc, snn::identity_synapses(chip.population_size(src), w)));
         };
 
         // Output error: epsilon_L accumulates theta_err * (label - output)
@@ -293,9 +295,9 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
                 pc.size = dense_sizes[l];
                 pc.compartment = error_cfg(opt_.theta_err, opt_.derivative_gating);
                 pc.neurons_per_core = opt_.neurons_per_core;
-                hid_err_pos_.push_back(chip_.add_population(pc));
+                hid_err_pos_.push_back(chip.add_population(pc));
                 pc.name = "hid_err" + std::to_string(l + 1) + "-";
-                hid_err_neg_.push_back(chip_.add_population(pc));
+                hid_err_neg_.push_back(chip.add_population(pc));
             }
             for (std::size_t l = hidden_pops_.size(); l-- > 0;) {
                 const bool top = l + 1 == hidden_pops_.size();
@@ -304,7 +306,7 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
                 const loihi::PopulationId up_neg =
                     top ? *out_err_neg_ : hid_err_neg_[l + 1];
                 const std::size_t rows = dense_sizes[l];
-                const std::size_t cols = chip_.population_size(up_pos);
+                const std::size_t cols = chip.population_size(up_pos);
                 const float limit_f =
                     opt_.feedback_gain / std::sqrt(static_cast<float>(cols));
                 const IntMatrix B = random_feedback(rows, cols, limit_f,
@@ -326,7 +328,7 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
                     pc.dst = dst;
                     pc.weight_exp = B.exponent;
                     feedback_projections_.push_back(
-                        chip_.add_projection(pc, std::move(syns)));
+                        chip.add_projection(pc, std::move(syns)));
                 };
                 const std::string tag = "fa" + std::to_string(l + 1);
                 cross(up_pos, hid_err_pos_[l], +1, tag + ":+->+");
@@ -376,7 +378,7 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
                     pc.port = port;
                     pc.weight_exp = B.exponent;
                     feedback_projections_.push_back(
-                        chip_.add_projection(pc, std::move(syns)));
+                        chip.add_projection(pc, std::move(syns)));
                 };
                 const std::string tag = "dfa" + std::to_string(l + 1);
                 broadcast(*out_err_pos_, +1, tag + ":+");
@@ -387,40 +389,45 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
 
     // ---- conv parameters & finalize -------------------------------------------
     if (conv != nullptr) {
-        chip_.set_bias(*conv1_, conv->conv1.bias);
-        chip_.set_bias(*conv2_, conv->conv2.bias);
+        chip.set_bias(*conv1_, conv->conv1.bias);
+        chip.set_bias(*conv2_, conv->conv2.bias);
     }
-    chip_.finalize();
-    chip_.reset_activity();  // construction-time bias writes are not runtime I/O
+    chip.finalize();
+    chip.reset_activity();  // construction-time bias writes are not runtime I/O
 }
 
-void EmstdpNetwork::program_input(const common::Tensor& image) {
+template <typename Substrate>
+void EmstdpNetwork::program_input(Substrate& chip, const common::Tensor& image) {
     if (image.size() != input_size_)
         throw std::invalid_argument("EmstdpNetwork: image size mismatch");
     if (opt_.input_mode == InputMode::BiasProgramming) {
-        chip_.set_bias(input_, data::quantize_to_bias(image, opt_.phase_length));
+        chip.set_bias(input_, data::quantize_to_bias(image, opt_.phase_length));
         rasters_.clear();
     } else {
-        chip_.clear_bias(input_);
+        chip.clear_bias(input_);
         rasters_ = data::rate_code_spikes(image, opt_.phase_length);
     }
 }
 
-void EmstdpNetwork::run_phase(Phase phase) {
-    chip_.set_phase(phase);
+template <typename Substrate>
+void EmstdpNetwork::run_phase(Substrate& chip, Phase phase) {
+    chip.set_phase(phase);
     const auto T = static_cast<std::size_t>(opt_.phase_length);
     if (opt_.input_mode == InputMode::BiasProgramming) {
-        chip_.run(T);
+        chip.run(T);
         return;
     }
-    for (std::size_t t = 0; t < T; ++t) {
-        // Step first, insert after: a bias-driven input neuron firing at
-        // step t is delivered downstream at t+1, and host insertion must
-        // keep the same one-step alignment (verified by the
-        // InputEncoding.BiasAndInsertionProduceIdenticalActivity test).
-        chip_.step();
-        for (std::size_t i = 0; i < rasters_.size(); ++i)
-            if (rasters_[i][t]) chip_.insert_spike(input_, i);
+    // split() rejects SpikeInsertion, so only a single chip gets here.
+    if constexpr (std::is_same_v<Substrate, loihi::Chip>) {
+        for (std::size_t t = 0; t < T; ++t) {
+            // Step first, insert after: a bias-driven input neuron firing at
+            // step t is delivered downstream at t+1, and host insertion must
+            // keep the same one-step alignment (verified by the
+            // InputEncoding.BiasAndInsertionProduceIdenticalActivity test).
+            chip.step();
+            for (std::size_t i = 0; i < rasters_.size(); ++i)
+                if (rasters_[i][t]) chip.insert_spike(input_, i);
+        }
     }
 }
 
@@ -429,40 +436,47 @@ void EmstdpNetwork::train_sample(const common::Tensor& image, std::size_t label)
         throw std::logic_error("EmstdpNetwork: inference-only network cannot train");
     if (label >= classes_) throw std::out_of_range("EmstdpNetwork: bad label");
 
-    chip_.reset_dynamic_state();
-    program_input(image);
-    std::vector<std::int32_t> lb(classes_, 0);
-    if (class_mask_[label]) lb[label] = label_bias_value_;
-    chip_.set_bias(*label_, lb);
+    visit([&](auto& chip) {
+        chip.reset_dynamic_state();
+        program_input(chip, image);
+        std::vector<std::int32_t> lb(classes_, 0);
+        if (class_mask_[label]) lb[label] = label_bias_value_;
+        chip.set_bias(*label_, lb);
 
-    run_phase(Phase::One);
-    // Phase boundary: clear membranes so phase 2 replays phase 1 exactly
-    // when no correction arrives (see Chip::reset_membranes).
-    chip_.reset_membranes();
-    run_phase(Phase::Two);
-    chip_.apply_learning();
+        run_phase(chip, Phase::One);
+        // Phase boundary: clear membranes so phase 2 replays phase 1 exactly
+        // when no correction arrives (see Chip::reset_membranes).
+        chip.reset_membranes();
+        run_phase(chip, Phase::Two);
+        chip.apply_learning();
+    });
 }
 
 std::vector<std::int32_t> EmstdpNetwork::output_counts(const common::Tensor& image) {
-    chip_.reset_dynamic_state();
-    program_input(image);
-    if (label_) chip_.clear_bias(*label_);
-    run_phase(Phase::One);
-    return chip_.spike_counts(output_, Phase::One);
+    return visit([&](auto& chip) {
+        chip.reset_dynamic_state();
+        program_input(chip, image);
+        if (label_) chip.clear_bias(*label_);
+        run_phase(chip, Phase::One);
+        return chip.spike_counts(output_, Phase::One);
+    });
 }
 
 std::size_t EmstdpNetwork::predict(const common::Tensor& image) {
     const auto counts = output_counts(image);
-    std::size_t best = 0;
-    std::int64_t best_v = chip_.membrane(output_, 0);
-    for (std::size_t j = 1; j < counts.size(); ++j) {
-        const std::int64_t vj = chip_.membrane(output_, j);
-        if (counts[j] > counts[best] || (counts[j] == counts[best] && vj > best_v)) {
-            best = j;
-            best_v = vj;
+    return visit([&](const auto& chip) {
+        std::size_t best = 0;
+        std::int64_t best_v = chip.membrane(output_, 0);
+        for (std::size_t j = 1; j < counts.size(); ++j) {
+            const std::int64_t vj = chip.membrane(output_, j);
+            if (counts[j] > counts[best] ||
+                (counts[j] == counts[best] && vj > best_v)) {
+                best = j;
+                best_v = vj;
+            }
         }
-    }
-    return best;
+        return best;
+    });
 }
 
 void EmstdpNetwork::set_class_mask(const std::vector<bool>& mask) {
@@ -475,7 +489,7 @@ void EmstdpNetwork::set_class_mask(const std::vector<bool>& mask) {
     std::vector<std::int32_t> bias(classes_, 0);
     for (std::size_t j = 0; j < classes_; ++j)
         if (!mask[j]) bias[j] = -4 * opt_.theta_dense;
-    chip_.set_bias(output_, bias);
+    visit([&](auto& chip) { chip.set_bias(output_, bias); });
 }
 
 void EmstdpNetwork::set_learning_shift_offset(int offset) {
@@ -485,13 +499,17 @@ void EmstdpNetwork::set_learning_shift_offset(int offset) {
     const int base = opt_.learning_shift() +
                      (opt_.pre_window == loihi::TraceWindow::Both ? 1 : 0);
     const loihi::LearningRule rule = loihi::emstdp_rule(base + shift_offset_);
-    for (auto proj : plastic_) chip_.set_learning_rule(proj, rule);
+    visit([&](auto& chip) {
+        for (auto proj : plastic_) chip.set_learning_rule(proj, rule);
+    });
 }
 
 std::vector<std::vector<std::int32_t>> EmstdpNetwork::plastic_weights() const {
     std::vector<std::vector<std::int32_t>> out;
     out.reserve(plastic_.size());
-    for (auto proj : plastic_) out.push_back(chip_.weights(proj));
+    visit([&](const auto& chip) {
+        for (auto proj : plastic_) out.push_back(chip.weights(proj));
+    });
     return out;
 }
 
@@ -499,31 +517,107 @@ void EmstdpNetwork::set_plastic_weights(
     const std::vector<std::vector<std::int32_t>>& w) {
     if (w.size() != plastic_.size())
         throw std::invalid_argument("set_plastic_weights: layer count mismatch");
-    for (std::size_t p = 0; p < plastic_.size(); ++p)
-        chip_.program_weights(plastic_[p], w[p]);
+    visit([&](auto& chip) {
+        for (std::size_t p = 0; p < plastic_.size(); ++p)
+            chip.program_weights(plastic_[p], w[p]);
+    });
+}
+
+void EmstdpNetwork::seed_learning_noise(std::uint64_t seed) {
+    visit([&](auto& chip) { chip.seed_learning_noise(seed); });
+}
+
+EmstdpNetwork EmstdpNetwork::split(loihi::ShardPlan plan,
+                                   std::size_t step_threads) const {
+    if (opt_.input_mode == InputMode::SpikeInsertion)
+        throw std::invalid_argument(
+            "EmstdpNetwork::split: InputMode::SpikeInsertion is not supported "
+            "across chips (host spike insertion is not routed; use "
+            "BiasProgramming)");
+    const loihi::Chip& proto = chip();
+    EmstdpNetwork out(*this);
+    if (!plan.single())
+        out.substrate_.emplace<loihi::ShardedChip>(proto, std::move(plan),
+                                                   step_threads);
+    // Recover the class mask from the output clamps (a masked class holds a
+    // strongly negative bias — see set_class_mask), so the bookkeeping
+    // agrees with the captured bias registers.
+    const auto out_bias = proto.biases(output_);
+    for (std::size_t j = 0; j < classes_; ++j) out.class_mask_[j] = out_bias[j] >= 0;
+    // Re-seed exactly the way the constructor does.
+    common::Rng rng(opt_.seed);
+    out.seed_learning_noise(rng.next_u64() | 1);
+    out.reset_activity();
+    return out;
 }
 
 void EmstdpNetwork::save(const std::string& path) const {
+    const loihi::Chip& c = chip();
     std::ofstream out(path, std::ios::binary);
     if (!out) throw std::runtime_error("EmstdpNetwork::save: cannot open " + path);
-    chip_.save_weights(out);
+    c.save_weights(out);
 }
 
 void EmstdpNetwork::load(const std::string& path) {
+    loihi::Chip& c = chip();
     std::ifstream in(path, std::ios::binary);
     if (!in) throw std::runtime_error("EmstdpNetwork::load: cannot open " + path);
-    chip_.load_weights(in);
+    c.load_weights(in);
+}
+
+std::size_t EmstdpNetwork::num_shards() const {
+    const auto* mesh = std::get_if<loihi::ShardedChip>(&substrate_);
+    return mesh ? mesh->num_shards() : 1;
+}
+
+loihi::Chip& EmstdpNetwork::chip() {
+    return const_cast<loihi::Chip&>(std::as_const(*this).chip());
+}
+
+const loihi::Chip& EmstdpNetwork::chip() const {
+    if (const auto* c = std::get_if<loihi::Chip>(&substrate_)) return *c;
+    throw std::logic_error("EmstdpNetwork: the network spans " +
+                           std::to_string(num_shards()) +
+                           " chips; chip() is single-chip only (use chips())");
+}
+
+loihi::ShardedChip& EmstdpNetwork::chips() {
+    return const_cast<loihi::ShardedChip&>(std::as_const(*this).chips());
+}
+
+const loihi::ShardedChip& EmstdpNetwork::chips() const {
+    if (const auto* mesh = std::get_if<loihi::ShardedChip>(&substrate_))
+        return *mesh;
+    throw std::logic_error("EmstdpNetwork: chips() needs a network split "
+                           "across two or more chips (use chip())");
+}
+
+loihi::ActivityTotals EmstdpNetwork::activity() const {
+    return visit([](const auto& chip) -> loihi::ActivityTotals {
+        return chip.activity();
+    });
+}
+
+void EmstdpNetwork::reset_activity() {
+    visit([](auto& chip) { chip.reset_activity(); });
+}
+
+loihi::KernelPhaseTimes EmstdpNetwork::kernel_phase_times() const {
+    return visit([](const auto& chip) -> loihi::KernelPhaseTimes {
+        return chip.kernel_phase_times();
+    });
 }
 
 StructuralCosts EmstdpNetwork::costs() const {
+    const loihi::Chip& chip = this->chip();
     StructuralCosts c;
-    c.compartments = chip_.total_compartments();
-    c.synapses = chip_.total_synapses();
-    c.cores = chip_.mapping().total_cores;
+    c.compartments = chip.total_compartments();
+    c.synapses = chip.total_synapses();
+    c.cores = chip.mapping().total_cores;
     for (auto proj : feedback_projections_)
-        c.feedback_synapses += chip_.synapse_count(proj);
+        c.feedback_synapses += chip.synapse_count(proj);
     auto pop_compartments = [&](loihi::PopulationId p, bool aux) {
-        return chip_.population_size(p) * (aux ? 2 : 1);
+        return chip.population_size(p) * (aux ? 2 : 1);
     };
     if (out_err_pos_) {
         c.feedback_compartments += pop_compartments(*out_err_pos_, false);
@@ -537,6 +631,23 @@ StructuralCosts EmstdpNetwork::costs() const {
             pop_compartments(hid_err_neg_[l], opt_.derivative_gating);
     }
     return c;
+}
+
+loihi::ShardPlan plan_network_shards(const loihi::Chip& chip,
+                                     std::size_t num_shards) {
+    const auto& mapping = chip.mapping();
+    std::vector<loihi::PopulationDemand> demands;
+    demands.reserve(chip.num_populations());
+    for (loihi::PopulationId p = 0; p < chip.num_populations(); ++p)
+        demands.push_back({chip.population_config(p).name,
+                           mapping.layers.at(p).num_cores});
+    std::vector<loihi::PopulationAffinity> edges;
+    edges.reserve(chip.num_projections());
+    for (loihi::ProjectionId q = 0; q < chip.num_projections(); ++q) {
+        const auto& cfg = chip.projection_config(q);
+        edges.push_back({cfg.src, cfg.dst, chip.synapse_count(q)});
+    }
+    return loihi::plan_shards(demands, edges, chip.limits(), num_shards);
 }
 
 }  // namespace neuro::core

@@ -12,9 +12,9 @@
 //
 // This is *inter-model* parallelism (N one-chip replicas). Its complement,
 // *intra-model* parallelism for networks bigger than one chip, is the
-// multi-chip sharded execution of core/sharded_network.hpp (ARCHITECTURE
-// §6); the two compose conceptually but this trainer's master/replica
-// weight-sync path assumes single-chip models.
+// multi-chip split of core::EmstdpNetwork::split (ARCHITECTURE §6); the
+// two compose conceptually but this trainer's master/replica weight-sync
+// path assumes single-chip models.
 //
 // Determinism contract:
 //   * batch == 1 reproduces the serial core::train_epoch bit-for-bit

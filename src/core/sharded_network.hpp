@@ -1,119 +1,6 @@
 #pragma once
-// EMSTDP across multiple chips: the single-chip network of core/network.hpp
-// split over N loihi::Chip instances with inter-chip spike routing
-// (loihi/shard.hpp + loihi/router.hpp).
-//
-// The class builds the ordinary single-chip prototype first — so topology,
-// weight initialization and RNG seeding are *identical* to EmstdpNetwork —
-// then shards its finalized structure per a ShardPlan and replays the
-// paper's Operation Flow 1 against the sharded substrate. With one shard
-// the result is bit-identical to EmstdpNetwork (same weights, same spike
-// counts, same ActivityTotals); with several shards the forward pass is
-// still bit-identical (spiking consumes no RNG in the default
-// configuration) and training is deterministic for any shard count, with
-// per-shard / per-cut-projection stochastic-rounding streams replacing the
-// single chip-wide stream.
+// Forwarding header: multi-chip execution is core::EmstdpNetwork::split
+// (core/network.hpp); plan_network_shards lives there too. Kept so code
+// that includes this path keeps compiling.
 
-#include <cstdint>
-#include <optional>
-#include <vector>
-
-#include "common/tensor.hpp"
 #include "core/network.hpp"
-#include "core/options.hpp"
-#include "loihi/router.hpp"
-#include "loihi/shard.hpp"
-
-namespace neuro::core {
-
-/// Derives the shard-planner inputs (per-population core demand, pairwise
-/// synapse affinity) from a finalized chip's mapping and topology.
-loihi::ShardPlan plan_network_shards(const loihi::Chip& chip,
-                                     std::size_t num_shards);
-
-class ShardedEmstdpNetwork {
-public:
-    /// Builds the prototype EmstdpNetwork and shards it. `num_shards` 0
-    /// plans automatically (minimum chips that fit the mapping; 1 when the
-    /// model fits one chip). `step_threads` bounds the concurrent-shard
-    /// worker pool (0 = one thread per shard). Throws when a single
-    /// population exceeds one chip's core budget, or for the
-    /// InputMode::SpikeInsertion encoding (host spike insertion is not
-    /// routed across chips).
-    ShardedEmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
-                         std::size_t in_h, std::size_t in_w,
-                         const snn::ConvertedStack* conv,
-                         std::vector<std::size_t> hidden, std::size_t classes,
-                         std::size_t num_shards = 0,
-                         std::size_t step_threads = 0);
-
-    /// Shards an already-built (possibly trained) network: the prototype's
-    /// current weights, biases, device state, live learning rules and class
-    /// mask (recovered from its output-neuron clamps) are captured; its
-    /// stochastic-rounding streams are re-seeded deterministically from the
-    /// options seed. The prototype is only read.
-    explicit ShardedEmstdpNetwork(const EmstdpNetwork& proto,
-                                  std::size_t num_shards = 0,
-                                  std::size_t step_threads = 0);
-
-    /// Same, with a precomputed plan (must cover the prototype's
-    /// populations) — the path the runtime backend takes after planning
-    /// once for its degenerate-shard check.
-    ShardedEmstdpNetwork(const EmstdpNetwork& proto, loihi::ShardPlan plan,
-                         std::size_t step_threads = 0);
-
-    /// Explicit replication (same contract as EmstdpNetwork::replicate):
-    /// shard chips share structure and copy-on-write weight images.
-    ShardedEmstdpNetwork replicate() const { return ShardedEmstdpNetwork(*this); }
-
-    ShardedEmstdpNetwork(ShardedEmstdpNetwork&&) = default;
-    ShardedEmstdpNetwork& operator=(ShardedEmstdpNetwork&&) = delete;
-    ShardedEmstdpNetwork& operator=(const ShardedEmstdpNetwork&) = delete;
-
-    // ---- the EmstdpNetwork workload surface --------------------------------
-    void train_sample(const common::Tensor& image, std::size_t label);
-    std::size_t predict(const common::Tensor& image);
-    std::vector<std::int32_t> output_counts(const common::Tensor& image);
-
-    void set_class_mask(const std::vector<bool>& mask);
-    void set_learning_shift_offset(int offset);
-
-    std::vector<std::vector<std::int32_t>> plastic_weights() const;
-    void set_plastic_weights(const std::vector<std::vector<std::int32_t>>& w);
-
-    void seed_learning_noise(std::uint64_t seed) {
-        chips_.seed_learning_noise(seed);
-    }
-
-    // ---- probing -----------------------------------------------------------
-    loihi::ShardedChip& chips() { return chips_; }
-    const loihi::ShardedChip& chips() const { return chips_; }
-    std::size_t num_shards() const { return chips_.num_shards(); }
-    const loihi::ShardPlan& plan() const { return chips_.plan(); }
-    const EmstdpOptions& options() const { return opt_; }
-    /// System-wide activity totals (see ShardedChip::activity).
-    loihi::ActivityTotals activity() const { return chips_.activity(); }
-    void reset_activity() { chips_.reset_activity(); }
-
-private:
-    /// Reachable only through replicate().
-    ShardedEmstdpNetwork(const ShardedEmstdpNetwork&) = default;
-
-    void run_phase(loihi::Phase phase);
-
-    EmstdpOptions opt_;
-    loihi::ShardedChip chips_;
-
-    std::size_t classes_;
-    std::size_t input_size_;
-    std::int32_t label_bias_value_;
-
-    loihi::PopulationId input_ = 0;
-    std::optional<loihi::PopulationId> label_;
-    loihi::PopulationId output_ = 0;
-    std::vector<loihi::ProjectionId> plastic_;
-
-    std::vector<bool> class_mask_;
-};
-
-}  // namespace neuro::core

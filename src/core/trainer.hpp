@@ -30,7 +30,10 @@ double train_epoch(EmstdpNetwork& net, const data::Dataset& stream,
 double evaluate(EmstdpNetwork& net, const data::Dataset& test);
 
 /// Runs `samples` training (or evaluation) samples while capturing activity,
-/// then derives the Table-II operating point from the energy model.
+/// then derives the Table-II operating point from the energy model. A
+/// network split across chips reports the package operating point:
+/// barrier-synchronised step time of the slowest shard, power and cores
+/// summed across chips.
 loihi::EnergyReport measure_energy(EmstdpNetwork& net, const data::Dataset& ds,
                                    std::size_t samples, bool training,
                                    const loihi::EnergyModelParams& params);
@@ -54,11 +57,9 @@ double evaluate(runtime::Session& session, const data::Dataset& test);
 bool train_prequential(runtime::Session& session, const common::Tensor& image,
                        std::size_t label);
 
-/// Session version of measure_energy. Sharded (multi-chip) sessions report
-/// the package operating point: barrier-synchronised step time of the
-/// slowest shard, power and cores summed across chips. Throws
-/// std::invalid_argument when the session's backend has no activity/energy
-/// model (e.g. Reference).
+/// Session version of measure_energy: forwards to the session's network.
+/// Throws std::invalid_argument when the session's backend has no
+/// activity/energy model (e.g. Reference).
 loihi::EnergyReport measure_energy(runtime::Session& session,
                                    const data::Dataset& ds, std::size_t samples,
                                    bool training,

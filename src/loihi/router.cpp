@@ -214,11 +214,6 @@ void ShardedChip::exchange() {
 }
 
 void ShardedChip::step() {
-    if (chips_.size() == 1) {
-        chips_[0].step();
-        ++now_;
-        return;
-    }
     ensure_pool();
     pool_.pool->run(chips_.size(), [this](std::size_t s) {
         drain_inbox(s);
@@ -288,11 +283,6 @@ void ShardedChip::apply_cross_learning(CrossProjection& cp, common::Rng* rng,
 }
 
 void ShardedChip::apply_learning() {
-    if (chips_.size() == 1) {
-        chips_[0].apply_learning();
-        ++learn_epoch_;
-        return;
-    }
     ensure_pool();
     // On-shard plastic projections update concurrently — each shard's engine
     // consumes its own stochastic-rounding stream, so the schedule is
@@ -454,6 +444,15 @@ ActivityTotals ShardedChip::activity() const {
         total.host_io_writes += a.host_io_writes;
     }
     total.steps = chips_[0].activity().steps;
+    return total;
+}
+
+KernelPhaseTimes ShardedChip::kernel_phase_times() const {
+    KernelPhaseTimes total;
+    for (const auto& chip : chips_) {
+        total.sweep_ns += chip.kernel_phase_times().sweep_ns;
+        total.accum_ns += chip.kernel_phase_times().accum_ns;
+    }
     return total;
 }
 

@@ -59,6 +59,7 @@ public:
     ShardedChip(const ShardedChip& other) = default;
     ShardedChip& operator=(const ShardedChip&) = delete;
     ShardedChip(ShardedChip&&) = default;
+    ShardedChip& operator=(ShardedChip&&) = default;
 
     std::size_t num_shards() const { return chips_.size(); }
     const ShardPlan& plan() const { return plan_; }
@@ -108,6 +109,8 @@ public:
     /// equals the prototype's totals exactly.
     ActivityTotals activity() const;
     void reset_activity();
+    /// Kernel phase-timer sinks summed across shards (a snapshot).
+    KernelPhaseTimes kernel_phase_times() const;
 
 private:
     /// A projection whose endpoints live on different shards. The router

@@ -206,12 +206,14 @@ int Daemon::listen_tcp(std::uint16_t port) {
 }
 
 void Daemon::setup_listeners() {
+    // Control first: a client that sees the data socket may talk to the
+    // control socket at once, so the control listener must already be up.
+    if (!options_.control_path.empty())
+        listeners_.emplace_back(listen_unix(options_.control_path), true);
     if (!options_.data_path.empty())
         listeners_.emplace_back(listen_unix(options_.data_path), false);
     if (options_.tcp_port != 0)
         listeners_.emplace_back(listen_tcp(options_.tcp_port), false);
-    if (!options_.control_path.empty())
-        listeners_.emplace_back(listen_unix(options_.control_path), true);
     for (const auto& [fd, control] : listeners_) {
         const bool is_control = control;
         const int lfd = fd;

@@ -143,8 +143,10 @@ public:
     Daemon(const Daemon&) = delete;
     Daemon& operator=(const Daemon&) = delete;
 
-    /// Binds the configured listeners and dispatches until a shutdown
-    /// request completes its drain. Call from the thread that owns the
+    /// Binds the configured listeners — the control socket before the data
+    /// listeners, so a client that can reach the data socket can also reach
+    /// the control socket — and dispatches until a shutdown request
+    /// completes its drain. Call from the thread that owns the
     /// daemon (neurod's main thread; a dedicated thread in tests).
     void run();
 

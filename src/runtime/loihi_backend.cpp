@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/network.hpp"
-#include "runtime/sharded_backend.hpp"
 
 namespace neuro::runtime {
 
@@ -37,26 +36,36 @@ public:
         net_.set_learning_shift_offset(offset);
     }
     void seed_noise(std::uint64_t seed) override {
-        net_.chip().seed_learning_noise(seed);
+        net_.seed_learning_noise(seed);
     }
 
     const loihi::ActivityTotals* activity() const override {
-        return &net_.chip().activity();
+        activity_ = net_.activity();
+        return &activity_;
     }
     const loihi::KernelPhaseTimes* kernel_phases() const override {
-        return &net_.chip().kernel_phase_times();
+        phases_ = net_.kernel_phase_times();
+        return &phases_;
     }
-    core::EmstdpNetwork* native_network() override { return &net_; }
+    core::EmstdpNetwork* native_network() override {
+        return net_.num_shards() == 1 ? &net_ : nullptr;
+    }
+    core::EmstdpNetwork* native_sharded_network() override {
+        return net_.num_shards() > 1 ? &net_ : nullptr;
+    }
 
 private:
     core::EmstdpNetwork net_;
+    /// Snapshots behind activity() and kernel_phases(), which hand out
+    /// stable pointers while a mesh sums its shard counters on read.
+    mutable loihi::ActivityTotals activity_{};
+    mutable loihi::KernelPhaseTimes phases_{};
 };
 
-}  // namespace
-
-/// Immutable artifact: a fully-built, finalized prototype network. Sessions
-/// replicate it — which shares the chip structure and weight image — so the
-/// expensive construction happens exactly once, at compile().
+/// Immutable artifact: a fully-built, finalized prototype network on its
+/// substrate (one chip or a mesh). Sessions replicate it — which shares the
+/// chip structure and weight image — so the expensive construction happens
+/// exactly once, at compile().
 class LoihiCompiledModel final : public CompiledModel {
 public:
     LoihiCompiledModel(ModelSpec spec, core::EmstdpNetwork proto)
@@ -83,28 +92,24 @@ private:
     core::EmstdpNetwork proto_;
 };
 
-std::shared_ptr<const CompiledModel> make_single_chip_model(
-    ModelSpec spec, core::EmstdpNetwork proto) {
-    return std::make_shared<LoihiCompiledModel>(std::move(spec),
-                                                std::move(proto));
-}
+}  // namespace
 
 std::shared_ptr<const CompiledModel> LoihiSimBackend::compile(
     const ModelSpec& spec) const {
     spec.validate();
-    // An explicit shard request belongs to the sharded backend wholesale.
-    if (spec.shards > 1)
-        return backend_for(BackendKind::ShardedLoihiSim).compile(spec);
     core::EmstdpNetwork proto(spec.options, spec.in_c, spec.in_h, spec.in_w,
                               spec.conv.get(), spec.hidden, spec.classes);
-    // Transparent spill: a model whose mapping exceeds one chip's core
-    // budget compiles to a shard plan instead — same Session API, several
-    // chips underneath — provided every population fits a chip (otherwise
-    // keep the historical permissive single-chip simulation). An explicit
-    // shards == 1 opts out: it pins the single-chip path even over budget.
-    if (spec.shards == 0 && !proto.chip().mapping().feasible) {
+    // shards >= 2 splits into exactly that many chips (or throws). shards
+    // == 0 spills a model whose mapping exceeds one chip's core budget onto
+    // the minimum chips that fit — same Session API, several chips
+    // underneath — provided every population fits a chip (otherwise keep
+    // the historical permissive single-chip simulation). shards == 1 pins
+    // the single-chip path even over budget.
+    if (spec.shards >= 2) {
+        proto = proto.split(core::plan_network_shards(proto.chip(), spec.shards));
+    } else if (spec.shards == 0 && !proto.chip().mapping().feasible) {
         try {
-            return make_sharded_model(spec, proto, /*num_shards=*/0);
+            proto = proto.split(core::plan_network_shards(proto.chip(), 0));
         } catch (const std::invalid_argument&) {
             // e.g. one population alone exceeds the chip: not shardable.
         }

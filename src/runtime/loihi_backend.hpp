@@ -2,9 +2,11 @@
 // LoihiSimBackend: the chip-simulator backend. Sessions wrap a replicated
 // core::EmstdpNetwork and are bit-identical to driving an EmstdpNetwork
 // directly (weights, spike counts, ActivityTotals) — asserted by
-// tests/runtime_test.cpp. Session opening shares the compiled chip
-// structure and the copy-on-write weight image (see loihi::Chip), so no
-// per-session chip deep-copy happens.
+// tests/runtime_test.cpp. ModelSpec::shards picks the substrate at
+// compile(): one chip, or a split across several (core::EmstdpNetwork::
+// split); sessions look the same either way. Session opening shares the
+// compiled chip structure and the copy-on-write weight image (see
+// loihi::Chip), so no per-session chip deep-copy happens.
 
 #include <memory>
 
@@ -27,15 +29,10 @@ public:
 /// Wraps an already-built network (current weights, device faults, class
 /// masks, RNG state as of this call) as an immutable CompiledModel on the
 /// LoihiSim backend — the bridge for code that constructs EmstdpNetwork
-/// directly (e.g. core::ParallelTrainer's master). The spec records the
+/// directly (e.g. core::ParallelTrainer's master; one chip only, a mesh
+/// throws std::logic_error). The spec records the
 /// observable topology; a conv stack inside `net` stays frozen in the
 /// compiled chip but is not re-described in the spec.
 std::shared_ptr<const CompiledModel> adopt(const core::EmstdpNetwork& net);
-
-/// Wraps a prototype network as a single-chip compiled model without the
-/// spill check (the degenerate target of ShardedLoihiBackend and the tail
-/// of LoihiSimBackend::compile).
-std::shared_ptr<const CompiledModel> make_single_chip_model(
-    ModelSpec spec, core::EmstdpNetwork proto);
 
 }  // namespace neuro::runtime

@@ -8,7 +8,6 @@ const char* to_string(BackendKind kind) {
     switch (kind) {
         case BackendKind::LoihiSim: return "loihi-sim";
         case BackendKind::Reference: return "reference";
-        case BackendKind::ShardedLoihiSim: return "sharded-loihi-sim";
     }
     return "?";
 }

@@ -25,13 +25,10 @@ namespace neuro::runtime {
 /// Which substrate executes the model. Every backend implements the same
 /// Session contract; see backend.hpp for what conformance requires.
 enum class BackendKind {
-    LoihiSim,   ///< bit-faithful chip simulator (loihi::Chip, integer datapath)
+    /// Bit-faithful chip simulator (integer datapath) on one loihi::Chip,
+    /// or on several with inter-chip spike routing (ModelSpec::shards).
+    LoihiSim,
     Reference,  ///< full-precision float EMSTDP (reference::RefEmstdp)
-    /// Multi-chip sharded simulator: the model partitions across several
-    /// Chip instances with inter-chip spike routing (loihi/router.hpp).
-    /// Compiling a spec that fits one chip degenerates to the LoihiSim
-    /// path; LoihiSim compiles of over-budget models spill here.
-    ShardedLoihiSim,
 };
 
 const char* to_string(BackendKind kind);
@@ -63,7 +60,7 @@ struct ModelSpec {
     ModelSpec& with_options(const core::EmstdpOptions& opt);
     /// Copies the stack; the spec (and every model compiled from it) owns it.
     ModelSpec& with_conv(const snn::ConvertedStack& stack);
-    /// Requests multi-chip sharded execution (see BackendKind::ShardedLoihiSim).
+    /// Requests multi-chip sharded execution on LoihiSim (see `shards`).
     ModelSpec& with_shards(std::size_t n);
 
     std::size_t input_size() const { return in_c * in_h * in_w; }

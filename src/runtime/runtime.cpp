@@ -5,7 +5,6 @@
 #include "runtime/loihi_backend.hpp"
 #include "runtime/reference_backend.hpp"
 #include "runtime/session.hpp"
-#include "runtime/sharded_backend.hpp"
 #include "runtime/weight_channel.hpp"
 
 namespace neuro::runtime {
@@ -13,19 +12,16 @@ namespace neuro::runtime {
 const Backend& backend_for(BackendKind kind) {
     static const LoihiSimBackend loihi_sim;
     static const ReferenceBackend reference;
-    static const ShardedLoihiBackend sharded_loihi_sim;
     switch (kind) {
         case BackendKind::LoihiSim: return loihi_sim;
         case BackendKind::Reference: return reference;
-        case BackendKind::ShardedLoihiSim: return sharded_loihi_sim;
     }
     throw std::invalid_argument("backend_for: unknown backend kind");
 }
 
 std::vector<const Backend*> backends() {
     return {&backend_for(BackendKind::LoihiSim),
-            &backend_for(BackendKind::Reference),
-            &backend_for(BackendKind::ShardedLoihiSim)};
+            &backend_for(BackendKind::Reference)};
 }
 
 std::shared_ptr<const CompiledModel> CompiledModel::compile(

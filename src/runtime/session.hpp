@@ -27,7 +27,6 @@ struct KernelPhaseTimes;
 }
 namespace neuro::core {
 class EmstdpNetwork;
-class ShardedEmstdpNetwork;
 }
 
 namespace neuro::runtime {
@@ -91,28 +90,30 @@ public:
     virtual void seed_noise(std::uint64_t seed) = 0;
 
     // ---- optional capabilities ---------------------------------------------
-    /// Activity counters for the energy model; null when the backend does
-    /// not model events (Reference).
+    /// Activity counters for the energy model (a snapshot, like
+    /// kernel_phases()); null when the backend does not model events
+    /// (Reference).
     virtual const loihi::ActivityTotals* activity() const { return nullptr; }
     /// Cumulative kernel phase-timer sinks (sweep/accumulation wall time,
     /// obs/timer.hpp — advance only while obs::set_timing(true)); null when
-    /// the backend has none. A sharded session sums its shards on read, so
-    /// the pointee is a snapshot: call again for a later reading. Read on
+    /// the backend has none. The pointee is a snapshot (a multi-chip session
+    /// sums its shards on read): call again for a later reading. Read on
     /// the session's own thread only: the serving workers snapshot
     /// before/after a request to attribute its compute span
     /// (ARCHITECTURE §14).
     virtual const loihi::KernelPhaseTimes* kernel_phases() const {
         return nullptr;
     }
-    /// Escape hatch to the underlying simulated network for probing tools
-    /// that predate the runtime API; null on non-chip backends.
+    /// Escape hatches to the underlying simulated network for probing tools
+    /// that predate the runtime API. Both return the same network, split by
+    /// substrate so a caller knows which probes are valid without asking:
+    /// native_network() is non-null only on one chip (where
+    /// EmstdpNetwork::chip() works), native_sharded_network() only on two or
+    /// more (where chips() works). Both are null on non-chip backends. The
+    /// pair stays because the repository benchmark's harness calls both; a
+    /// single accessor plus EmstdpNetwork::num_shards() would do otherwise.
     virtual core::EmstdpNetwork* native_network() { return nullptr; }
-    /// Escape hatch to the multi-chip network of a sharded session; null
-    /// everywhere else (a 1-shard compile degenerates to the single-chip
-    /// path and exposes native_network instead).
-    virtual core::ShardedEmstdpNetwork* native_sharded_network() {
-        return nullptr;
-    }
+    virtual core::EmstdpNetwork* native_sharded_network() { return nullptr; }
 
 protected:
     Session() = default;

@@ -157,12 +157,18 @@ struct Harness {
         ropt.backpressure = serve::Backpressure::Shed;
     }
 
-    void start(bool start_router = true) {
+    /// Starts the daemon thread without waiting for its listeners.
+    void launch(bool start_router = true) {
         router = std::make_shared<serve::ModelRouter>(model, ropt);
         if (start_router) router->start();
         daemon = std::make_unique<netd::Daemon>(router, dopt, registry);
         thread = std::thread([this] { daemon->run(); });
-        // The daemon binds on its own thread; wait until it answers.
+    }
+
+    void start(bool start_router = true) {
+        launch(start_router);
+        // The daemon binds on its own thread; wait until it answers. The
+        // control socket is bound before the data socket, so it is up too.
         ASSERT_TRUE(eventually([&] {
             try {
                 netd::Client::connect_unix(dopt.data_path);
@@ -422,6 +428,20 @@ TEST(Netd, DrainClosesDataPlaneButKeepsControlUp) {
 }
 
 // ---- control socket ---------------------------------------------------------
+
+TEST(Netd, ControlSocketIsListeningBeforeTheDataSocketAppears) {
+    // Clients (the harness above included) wait for the data socket and
+    // then send control commands at once. Spin on the data socket file and
+    // check the control socket at the first instant it exists: it must
+    // already accept, at every interleaving of the daemon's bind sequence.
+    Harness h;
+    h.launch();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(90);
+    while (!std::filesystem::exists(h.dopt.data_path))
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    EXPECT_EQ(h.control("ping"), "ok pong");
+}
 
 TEST(Netd, ControlPingStatsAndVersion) {
     Harness h;

@@ -381,7 +381,7 @@ TEST(ModelRouter, TracedRequestOnAShardedModelReportsKernelTime) {
     runtime::ModelSpec spec;
     spec.input(1, 12, 12).hidden_layers({40}).output_classes(10).with_shards(2);
     const auto model = runtime::CompiledModel::compile(
-        spec, runtime::BackendKind::ShardedLoihiSim);
+        spec, runtime::BackendKind::LoihiSim);
     serve::RouterOptions opt;
     opt.workers = 1;
     serve::ModelRouter router(model, opt);

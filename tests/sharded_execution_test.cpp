@@ -1,24 +1,24 @@
-// Multi-chip sharded execution (loihi/router.hpp, core/sharded_network.hpp,
-// runtime/sharded_backend.hpp): bit-identity with the single chip where the
-// contract promises it, determinism everywhere, routing/learning across the
-// cut, transparent spill, and session independence under concurrency.
+// Multi-chip sharded execution (loihi/router.hpp, EmstdpNetwork::split, the
+// LoihiSim backend's shard plans): bit-identity with the single chip where
+// the contract promises it, determinism everywhere, routing/learning across
+// the cut, transparent spill, and session independence under concurrency.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
 #include "core/network.hpp"
-#include "core/sharded_network.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "obs/timer.hpp"
 #include "runtime/backend.hpp"
 #include "runtime/compiled_model.hpp"
-#include "runtime/sharded_backend.hpp"
 #include "runtime/weights.hpp"
 
 using namespace neuro;
@@ -49,11 +49,14 @@ core::EmstdpNetwork single_net(const core::EmstdpOptions& opt) {
                                kClasses);
 }
 
-core::ShardedEmstdpNetwork sharded_net(const core::EmstdpOptions& opt,
-                                       std::size_t shards,
-                                       std::size_t threads = 0) {
-    return core::ShardedEmstdpNetwork(opt, 1, kSide, kSide, nullptr, {kHidden},
-                                      kClasses, shards, threads);
+core::EmstdpNetwork split(const core::EmstdpNetwork& net, std::size_t shards,
+                         std::size_t threads = 0) {
+    return net.split(core::plan_network_shards(net.chip(), shards), threads);
+}
+
+core::EmstdpNetwork sharded_net(const core::EmstdpOptions& opt,
+                                std::size_t shards, std::size_t threads = 0) {
+    return split(single_net(opt), shards, threads);
 }
 
 void expect_activity_equal(const loihi::ActivityTotals& a,
@@ -79,7 +82,7 @@ runtime::ModelSpec sharded_spec(std::size_t shards,
 
 }  // namespace
 
-// ---- acceptance: shard count 1 degenerates to today's path, bit for bit ---
+// ---- acceptance: a split to one shard is the unsplit network, bit for bit --
 
 TEST(ShardedExecution, SingleShardBitIdenticalToSingleChip) {
     const auto train = digits(24);
@@ -101,6 +104,8 @@ TEST(ShardedExecution, SingleShardBitIdenticalToSingleChip) {
         EXPECT_EQ(reference.predict(s.image), sharded.predict(s.image));
     }
     expect_activity_equal(reference.chip().activity(), sharded.activity());
+    // One shard is the Chip itself: no router in the way.
+    EXPECT_NO_THROW((void)sharded.chip());
 }
 
 // ---- multi-shard: the forward pass consumes no RNG, so inference must be
@@ -115,7 +120,7 @@ TEST(ShardedExecution, MultiShardInferenceBitIdenticalToSingleChip) {
         SCOPED_TRACE(shards);
         auto sharded = sharded_net(opt, shards);
         ASSERT_EQ(sharded.num_shards(), shards);
-        EXPECT_GT(sharded.plan().cut_synapses, 0u);
+        EXPECT_GT(sharded.chips().plan().cut_synapses, 0u);
         for (const auto& s : probe.samples) {
             EXPECT_EQ(reference.output_counts(s.image),
                       sharded.output_counts(s.image));
@@ -219,10 +224,11 @@ TEST(ShardedExecution, MultiShardTrainingLearns) {
     const auto train = toy_task(dims, classes, 500, rng, protos);
     const auto test = toy_task(dims, classes, 120, rng, protos);
 
-    core::ShardedEmstdpNetwork net(small_opt(), 1, 1, dims, nullptr, {30},
-                                   classes, /*num_shards=*/2);
+    auto net = split(core::EmstdpNetwork(small_opt(), 1, 1, dims, nullptr, {30},
+                                         classes),
+                     /*shards=*/2);
     ASSERT_EQ(net.num_shards(), 2u);
-    ASSERT_GT(net.plan().cut_synapses, 0u);
+    ASSERT_GT(net.chips().plan().cut_synapses, 0u);
 
     // Both plastic layers must actually change — including any that cross
     // the cut — and accuracy must clear chance (0.25) by a wide margin.
@@ -270,50 +276,60 @@ loihi::Chip two_pop_chain(std::uint8_t delay) {
 }  // namespace
 
 TEST(ShardedExecution, CrossShardDelaysAndResetsMatchSingleChipStepForStep) {
-    for (const std::uint8_t delay : {std::uint8_t{0}, std::uint8_t{3}}) {
-        SCOPED_TRACE(static_cast<int>(delay));
-        auto single = two_pop_chain(delay);
-        loihi::ShardPlan plan;
-        plan.num_shards = 2;
-        plan.shard_of = {0, 1};
-        plan.cores_per_shard = {1, 1};
-        loihi::ShardedChip sharded(single, plan, /*step_threads=*/1);
-        ASSERT_TRUE(sharded.projection_is_cut(0));
-        // (The split captured the prototype's bias registers; resets below
-        // keep them, exactly like the single chip.)
+    // Two shards cut the link; one shard keeps it on-chip, so the router's
+    // general path runs with nothing to exchange.
+    loihi::ShardPlan two;
+    two.num_shards = 2;
+    two.shard_of = {0, 1};
+    two.cores_per_shard = {1, 1};
+    loihi::ShardPlan one;
+    one.num_shards = 1;
+    one.shard_of = {0, 0};
+    one.cores_per_shard = {2};
+    for (const auto& plan : {two, one}) {
+        for (const std::uint8_t delay : {std::uint8_t{0}, std::uint8_t{3}}) {
+            SCOPED_TRACE(static_cast<int>(delay));
+            SCOPED_TRACE(plan.num_shards);
+            auto single = two_pop_chain(delay);
+            loihi::ShardedChip sharded(single, plan, /*step_threads=*/1);
+            ASSERT_EQ(sharded.projection_is_cut(0), plan.num_shards == 2);
+            // (The split captured the prototype's bias registers; resets below
+            // keep them, exactly like the single chip.)
 
-        for (std::size_t t = 0; t < 20; ++t) {
-            // Membrane resets mid-flight: pending input dies, delayed events
-            // on the wheel survive — on both substrates identically.
-            if (t == 7) {
-                single.reset_membranes();
-                sharded.reset_membranes();
+            for (std::size_t t = 0; t < 20; ++t) {
+                // Membrane resets mid-flight: pending input dies, delayed events
+                // on the wheel survive — on both substrates identically.
+                if (t == 7) {
+                    single.reset_membranes();
+                    sharded.reset_membranes();
+                }
+                if (t == 13) {
+                    single.reset_dynamic_state();
+                    sharded.reset_dynamic_state();
+                }
+                single.step();
+                sharded.step();
+                EXPECT_EQ(single.membrane(1, 0), sharded.membrane(1, 0))
+                    << "step " << t;
+                EXPECT_EQ(single.spike_counts_total(0),
+                          sharded.spike_counts_total(0))
+                    << "step " << t;
             }
-            if (t == 13) {
-                single.reset_dynamic_state();
-                sharded.reset_dynamic_state();
-            }
-            single.step();
-            sharded.step();
-            EXPECT_EQ(single.membrane(1, 0), sharded.membrane(1, 0))
-                << "step " << t;
-            EXPECT_EQ(single.spike_counts_total(0),
-                      sharded.spike_counts_total(0))
-                << "step " << t;
         }
     }
 }
 
 // ---- runtime surface -------------------------------------------------------
 
-TEST(ShardedExecution, ShardedBackendKeepsSessionApi) {
+TEST(ShardedExecution, ShardedModelKeepsSessionApi) {
     const auto train = digits(20);
     const auto probe = digits(8, 31);
     const auto model = runtime::CompiledModel::compile(
-        sharded_spec(2), runtime::BackendKind::ShardedLoihiSim);
-    EXPECT_EQ(model->backend(), runtime::BackendKind::ShardedLoihiSim);
+        sharded_spec(2), runtime::BackendKind::LoihiSim);
+    EXPECT_EQ(model->backend(), runtime::BackendKind::LoihiSim);
 
     auto session = model->open_session();
+    EXPECT_EQ(session->native_network(), nullptr);
     ASSERT_NE(session->native_sharded_network(), nullptr);
     EXPECT_EQ(session->native_sharded_network()->num_shards(), 2u);
     common::Rng rng(42);
@@ -346,7 +362,7 @@ TEST(ShardedExecution, KernelPhasesSumTheShards) {
     GTEST_SKIP() << "kernel timers compiled out";
 #endif
     const auto model = runtime::CompiledModel::compile(
-        sharded_spec(2), runtime::BackendKind::ShardedLoihiSim);
+        sharded_spec(2), runtime::BackendKind::LoihiSim);
     auto session = model->open_session();
     obs::set_timing(true);
     (void)session->predict(digits(1).samples[0].image);
@@ -366,17 +382,17 @@ TEST(ShardedExecution, KernelPhasesSumTheShards) {
     EXPECT_EQ(phases->accum_ns, sum.accum_ns);
 }
 
-TEST(ShardedExecution, AutoPlanOnSmallModelDegeneratesToSingleChipPath) {
+TEST(ShardedExecution, AutoPlanOnSmallModelStaysOnOneChip) {
     const auto model = runtime::CompiledModel::compile(
-        sharded_spec(0), runtime::BackendKind::ShardedLoihiSim);
-    EXPECT_EQ(model->backend(), runtime::BackendKind::ShardedLoihiSim);
+        sharded_spec(0), runtime::BackendKind::LoihiSim);
     auto session = model->open_session();
-    // Degenerate plan: the session IS the single-chip path.
-    EXPECT_NE(session->native_network(), nullptr);
+    // The model fits one chip: the session runs on the Chip itself.
+    ASSERT_NE(session->native_network(), nullptr);
+    EXPECT_EQ(session->native_network()->num_shards(), 1u);
     EXPECT_EQ(session->native_sharded_network(), nullptr);
 
     const auto single = runtime::CompiledModel::compile(
-        sharded_spec(0), runtime::BackendKind::LoihiSim);
+        sharded_spec(1), runtime::BackendKind::LoihiSim);
     EXPECT_EQ(session->weights().layers, single->initial_weights().layers);
 }
 
@@ -391,18 +407,18 @@ TEST(ShardedExecution, LoihiSimTransparentlySpillsOverBudgetModels) {
         .with_options(small_opt());
     const auto model =
         runtime::CompiledModel::compile(spec, runtime::BackendKind::LoihiSim);
-    EXPECT_EQ(model->backend(), runtime::BackendKind::ShardedLoihiSim);
     auto session = model->open_session();
+    EXPECT_EQ(session->native_network(), nullptr);
     auto* net = session->native_sharded_network();
     ASSERT_NE(net, nullptr);
     EXPECT_GE(net->num_shards(), 2u);
-    for (const auto cores : net->plan().cores_per_shard)
+    for (const auto cores : net->chips().plan().cores_per_shard)
         EXPECT_LE(cores, loihi::ChipLimits{}.num_cores);
 }
 
-TEST(ShardedExecution, UnshardablePopulationErrorsCleanlyOnShardedBackend) {
+TEST(ShardedExecution, UnshardablePopulationErrorsCleanlyWhenSplitIsForced) {
     // One dense layer of 2000 neurons at 10/core needs 200 cores — more
-    // than a chip, and populations cannot split. The sharded backend must
+    // than a chip, and populations cannot split. A forced split must
     // reject it; the permissive single-chip simulator still accepts it.
     runtime::ModelSpec spec;
     spec.input(1, kSide, kSide)
@@ -410,7 +426,7 @@ TEST(ShardedExecution, UnshardablePopulationErrorsCleanlyOnShardedBackend) {
         .output_classes(kClasses)
         .with_options(small_opt());
     EXPECT_THROW(runtime::CompiledModel::compile(
-                     spec.with_shards(2), runtime::BackendKind::ShardedLoihiSim),
+                     spec.with_shards(2), runtime::BackendKind::LoihiSim),
                  std::invalid_argument);
     spec.with_shards(0);
     EXPECT_NO_THROW(runtime::CompiledModel::compile(
@@ -420,9 +436,73 @@ TEST(ShardedExecution, UnshardablePopulationErrorsCleanlyOnShardedBackend) {
 TEST(ShardedExecution, SpikeInsertionModeIsRejected) {
     auto opt = small_opt();
     opt.input_mode = core::InputMode::SpikeInsertion;
-    EXPECT_THROW(core::ShardedEmstdpNetwork(opt, 1, kSide, kSide, nullptr,
-                                            {kHidden}, kClasses, 2),
-                 std::invalid_argument);
+    EXPECT_THROW(sharded_net(opt, 2), std::invalid_argument);
+}
+
+TEST(ShardedExecution, SingleChipOnlyOperationsThrowOnAMesh) {
+    auto net = sharded_net(small_opt(), 2);
+    ASSERT_EQ(net.num_shards(), 2u);
+    EXPECT_THROW((void)net.chip(), std::logic_error);
+    EXPECT_THROW((void)std::as_const(net).chip(), std::logic_error);
+    EXPECT_THROW(net.save("mesh.weights"), std::logic_error);
+    EXPECT_THROW(net.load("mesh.weights"), std::logic_error);
+    EXPECT_THROW((void)net.costs(), std::logic_error);
+    EXPECT_THROW((void)net.split(net.chips().plan()), std::logic_error);
+    // ...and the mesh accessor is mesh-only.
+    EXPECT_THROW((void)single_net(small_opt()).chips(), std::logic_error);
+}
+
+// ---- energy: one path, the package rule on a mesh -------------------------
+
+TEST(ShardedExecution, MeasureEnergyAppliesThePackageRuleOnAMesh) {
+    const auto probe = digits(4, 37);
+    const loihi::EnergyModelParams params;
+    const auto model = runtime::CompiledModel::compile(
+        sharded_spec(2), runtime::BackendKind::LoihiSim);
+    auto session = model->open_session();
+    const auto report = core::measure_energy(*session, probe, 4, true, params);
+
+    // Recompute the package rule from the shards measure_energy just drove.
+    const auto& chips = session->native_sharded_network()->chips();
+    ASSERT_EQ(chips.num_shards(), 2u);
+    loihi::EnergyReport expected{};
+    for (std::size_t i = 0; i < chips.num_shards(); ++i) {
+        const auto r = loihi::estimate_energy(params, chips.shard(i),
+                                              chips.shard_activity(i), 4);
+        expected.step_seconds = std::max(expected.step_seconds, r.step_seconds);
+        expected.power_w += r.power_w;
+        expected.cores += r.cores;
+        expected.steps_per_sample =
+            std::max(expected.steps_per_sample, r.steps_per_sample);
+    }
+    EXPECT_EQ(report.step_seconds, expected.step_seconds);
+    EXPECT_EQ(report.power_w, expected.power_w);
+    EXPECT_EQ(report.cores, expected.cores);
+    EXPECT_EQ(report.steps_per_sample, expected.steps_per_sample);
+    EXPECT_EQ(report.sample_seconds,
+              expected.step_seconds *
+                  static_cast<double>(expected.steps_per_sample));
+    EXPECT_EQ(report.energy_per_sample_j, report.power_w * report.sample_seconds);
+    EXPECT_GT(report.fps, 0.0);
+}
+
+TEST(ShardedExecution, MeasureEnergyOnOneChipIsTheChipModel) {
+    const auto probe = digits(4, 37);
+    const loihi::EnergyModelParams params;
+    const auto model = runtime::CompiledModel::compile(
+        sharded_spec(1), runtime::BackendKind::LoihiSim);
+    auto session = model->open_session();
+    const auto report = core::measure_energy(*session, probe, 4, true, params);
+
+    const auto& chip = session->native_network()->chip();
+    const auto expected = loihi::estimate_energy(params, chip, chip.activity(), 4);
+    EXPECT_EQ(report.step_seconds, expected.step_seconds);
+    EXPECT_EQ(report.power_w, expected.power_w);
+    EXPECT_EQ(report.cores, expected.cores);
+    EXPECT_EQ(report.steps_per_sample, expected.steps_per_sample);
+    EXPECT_EQ(report.sample_seconds, expected.sample_seconds);
+    EXPECT_EQ(report.fps, expected.fps);
+    EXPECT_EQ(report.energy_per_sample_j, expected.energy_per_sample_j);
 }
 
 // ---- sessions: shared structure, independent state, concurrency ----------
@@ -430,7 +510,7 @@ TEST(ShardedExecution, SpikeInsertionModeIsRejected) {
 TEST(ShardedExecution, ShardedSessionsShareStructureAndStayIndependent) {
     const auto train = digits(6);
     const auto model = runtime::CompiledModel::compile(
-        sharded_spec(2), runtime::BackendKind::ShardedLoihiSim);
+        sharded_spec(2), runtime::BackendKind::LoihiSim);
 
     auto a = model->open_session();
     auto b = model->open_session();
@@ -454,7 +534,7 @@ TEST(ShardedExecution, ConcurrentShardedSessionsMatchSerial) {
     const auto train = digits(8);
     const auto probe = digits(6, 23);
     const auto model = runtime::CompiledModel::compile(
-        sharded_spec(2), runtime::BackendKind::ShardedLoihiSim);
+        sharded_spec(2), runtime::BackendKind::LoihiSim);
 
     // Serial ground truth.
     auto serial = model->open_session();
@@ -484,7 +564,7 @@ TEST(ShardedExecution, ShardingATrainedNetworkPreservesInference) {
     auto master = single_net(small_opt());
     for (const auto& s : train.samples) master.train_sample(s.image, s.label);
 
-    core::ShardedEmstdpNetwork sharded(master, 2);
+    auto sharded = split(master, 2);
     EXPECT_EQ(master.plastic_weights(), sharded.plastic_weights());
     for (const auto& s : probe.samples) {
         EXPECT_EQ(master.output_counts(s.image), sharded.output_counts(s.image));
@@ -505,7 +585,7 @@ TEST(ShardedExecution, SplitCapturesLiveLearningRulesAndClassMask) {
     mask[3] = false;
     master.set_class_mask(mask);
 
-    core::ShardedEmstdpNetwork sharded(master, 2);
+    auto sharded = split(master, 2);
     // Same reprogrammed rule on both substrates -> identical updates.
     for (const auto& s : train.samples) {
         master.train_sample(s.image, s.label);
